@@ -109,6 +109,41 @@ impl JoinIndex {
         self.approx_bytes
     }
 
+    /// Adds one build-side row (the caller keeps the build side a set).
+    /// Lets an index over a loop invariant follow a changed base relation
+    /// in O(1) instead of being rebuilt.
+    pub fn insert(&mut self, row: Row) {
+        let h = hash_key(&row, &self.build_key);
+        self.approx_bytes += row.len() as u64 * std::mem::size_of::<Value>() as u64;
+        self.buckets.entry(h).or_default().push(self.build_rows.len() as u32);
+        self.build_rows.push(row);
+    }
+
+    /// Removes one build-side row; returns whether it was present.
+    pub fn remove(&mut self, row: &[Value]) -> bool {
+        let h = hash_key(row, &self.build_key);
+        let Some(bucket) = self.buckets.get_mut(&h) else { return false };
+        let Some(at) = bucket.iter().position(|&i| *self.build_rows[i as usize] == *row) else {
+            return false;
+        };
+        let slot = bucket.swap_remove(at);
+        if bucket.is_empty() {
+            self.buckets.remove(&h);
+        }
+        // Fill the hole with the last row and repoint its bucket entry.
+        let last = (self.build_rows.len() - 1) as u32;
+        self.build_rows.swap_remove(slot as usize);
+        if slot != last {
+            let moved = hash_key(&self.build_rows[slot as usize], &self.build_key);
+            let b = self.buckets.get_mut(&moved).expect("moved row is indexed");
+            *b.iter_mut().find(|i| **i == last).expect("moved row is indexed") = slot;
+        }
+        self.approx_bytes = self
+            .approx_bytes
+            .saturating_sub(row.len() as u64 * std::mem::size_of::<Value>() as u64);
+        true
+    }
+
     /// Probes one row, emitting each joined output row. Returns the number
     /// of rows emitted. No per-row key allocation: the probe key is hashed
     /// in place and candidates verified positionally.
@@ -241,6 +276,29 @@ mod tests {
             });
         }
         assert_eq!(out.sorted_rows(), probe.join(&build).sorted_rows());
+    }
+
+    #[test]
+    fn updated_index_matches_rebuilt_index() {
+        let probe = rel(&[1, 2], &[&[1, 10], &[2, 20], &[3, 10], &[4, 30]]);
+        let build = rel(&[2, 3], &[&[10, 100], &[10, 101], &[30, 300], &[20, 200]]);
+        let mut idx = JoinIndex::build(probe.schema(), &build);
+        let gone: Row = vec![Value::Int(10), Value::Int(100)].into_boxed_slice();
+        let added: Row = vec![Value::Int(20), Value::Int(201)].into_boxed_slice();
+        assert!(idx.remove(&gone));
+        assert!(!idx.remove(&gone), "a removed row is gone");
+        idx.insert(added.clone());
+        let mut next = build.clone();
+        next.remove(&gone);
+        next.insert(added);
+        let mut out = Relation::new(idx.out_schema().clone());
+        for prow in probe.iter() {
+            idx.probe(prow, |row| {
+                out.insert(row);
+            });
+        }
+        assert_eq!(out.sorted_rows(), probe.join(&next).sorted_rows());
+        assert_eq!(idx.build_len(), next.len());
     }
 
     #[test]

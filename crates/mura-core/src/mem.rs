@@ -117,6 +117,17 @@ impl MemCharge {
         }
     }
 
+    /// Sets the held charge to exactly `bytes`, releasing the excess when
+    /// the working set shrank.
+    pub fn resize(&mut self, bytes: u64) {
+        if bytes < self.bytes {
+            mem_gauge().sub(self.bytes - bytes);
+            self.bytes = bytes;
+        } else {
+            self.grow_to(bytes);
+        }
+    }
+
     /// Bytes currently held by this guard.
     pub fn held(&self) -> u64 {
         self.bytes

@@ -31,10 +31,10 @@
 //! row *set* is deterministic), keeping fault counts reproducible.
 
 use crate::cluster::{payload_text, Cluster};
-use crate::distrel::DistRel;
+use crate::distrel::{row_owner, DistRel};
 use crate::localfix::{eval_branch, prepare, Budget, Prepared};
 use mura_core::fxhash::FxHasher;
-use mura_core::{MuraError, Relation, Result, Row, Sym, Term};
+use mura_core::{MuraError, Relation, Result, Row, Schema, Sym, Term};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -47,10 +47,6 @@ fn row_hash(row: &Row) -> u64 {
     h.finish()
 }
 
-fn row_owner(row: &Row, n: usize) -> usize {
-    (row_hash(row) as usize) % n
-}
-
 /// Evaluates `μ(x = seed ∪ recs)` asynchronously. `recs` must be hoisted
 /// (every `x`-free subterm already a constant, as for `P_plw`).
 pub fn eval_async(
@@ -61,20 +57,13 @@ pub fn eval_async(
     budget: &Budget,
 ) -> Result<DistRel> {
     let site = cluster.fault().next_site();
-    eval_async_at(seed, recs, x, cluster, budget, site, 0, None)
+    eval_async_at(seed, recs, x, cluster, budget, site, 0)
 }
 
 /// The supervised entry point: runs one attempt of the asynchronous
 /// fixpoint at an explicit fault `site`. The restart supervisor pins the
 /// site across attempts so afflicted workers heal deterministically after
 /// [`crate::fault::FaultConfig::failures_per_site`] attempts.
-///
-/// `resume` carries maintained `(acc, delta)` state for incremental view
-/// maintenance: each owner preloads its slice of `acc \ delta` (known
-/// totals nothing needs to be derived from again), while the frontier
-/// `delta` travels as ordinary batches alongside the seed. A restart of
-/// the whole attempt reuses the same resume state, so recovery never
-/// degrades to a from-scratch recomputation by accident.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_async_at(
     seed: &DistRel,
@@ -84,10 +73,7 @@ pub fn eval_async_at(
     budget: &Budget,
     site: u64,
     attempt: u32,
-    resume: Option<&(Relation, Relation)>,
 ) -> Result<DistRel> {
-    let n = cluster.workers();
-    let fault = cluster.fault();
     let schema = seed.schema().clone();
     // Prepare once (constant folding + index builds) and share the branches
     // across all workers — the indexes are built per fixpoint, not per
@@ -99,7 +85,29 @@ pub fn eval_async_at(
     // (MemoryExceeded) instead of mid-recursion.
     budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
     budget.charge_bytes(mura_core::rel_bytes(seed.len() as u64, schema.arity()))?;
-    let prepared = &prepared;
+    let parts = run_async(&prepared, &schema, seed.parts(), None, cluster, budget, site, attempt)?;
+    Ok(DistRel::from_parts(schema, parts, None))
+}
+
+/// One attempt of the barrier-free loop, fresh or resumed: `initial` rows
+/// travel to their owners (the full-row hash partitioning
+/// [`DistRel::from_relation`] uses) as the first batches; with
+/// `resident`, owner `w` already holds `base[w] \ removed[w]` and accepts
+/// only rows outside it. The resident partitions are only read. Returns
+/// every owner's accepted rows, so a failed attempt leaves nothing to undo.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_async(
+    prepared: &[Prepared<Relation>],
+    schema: &Schema,
+    initial_parts: &[Relation],
+    resident: Option<(&[Relation], &[Relation])>,
+    cluster: &Cluster,
+    budget: &Budget,
+    site: u64,
+    attempt: u32,
+) -> Result<Vec<Relation>> {
+    let n = cluster.workers();
+    let fault = cluster.fault();
     // Channels: one inbox per worker.
     let mut senders: Vec<Sender<Vec<Row>>> = Vec::with_capacity(n);
     let mut receivers: Vec<Receiver<Vec<Row>>> = Vec::with_capacity(n);
@@ -118,24 +126,8 @@ pub fn eval_async_at(
 
     // Seed every worker with the rows it owns.
     let mut initial: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-    for part in seed.parts() {
+    for part in initial_parts {
         for row in part.iter() {
-            initial[row_owner(row, n)].push(row.clone());
-        }
-    }
-    // Resumed state: each owner preloads its slice of `acc \ delta` so
-    // nothing is re-derived from known totals, while the maintenance
-    // frontier rows travel as ordinary batches — a preloaded frontier row
-    // would be deduplicated on receipt and never derived from.
-    let mut preload: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-    if let Some((acc0, delta0)) = resume {
-        budget.charge_bytes(mura_core::rel_bytes(acc0.len() as u64, schema.arity()))?;
-        for row in acc0.iter() {
-            if !delta0.contains(row) {
-                preload[row_owner(row, n)].push(row.clone());
-            }
-        }
-        for row in delta0.iter() {
             initial[row_owner(row, n)].push(row.clone());
         }
     }
@@ -153,9 +145,10 @@ pub fn eval_async_at(
     let results: Vec<Result<(Relation, u64, u64)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = receivers
             .into_iter()
-            .zip(preload)
             .enumerate()
-            .map(|(me, (inbox, mine))| {
+            .map(|(me, inbox)| {
+                // What this owner already holds before accepting anything.
+                let held = resident.map(|(base, removed)| (&base[me], &removed[me]));
                 let senders = senders.clone();
                 let schema = schema.clone();
                 let in_flight = &in_flight;
@@ -181,9 +174,9 @@ pub fn eval_async_at(
                                 std::thread::sleep(d);
                             }
                             let mut acc = Relation::new(schema.clone());
-                            for row in mine {
-                                acc.insert(row);
-                            }
+                            let held_already = |row: &Row| {
+                                held.is_some_and(|(b, r)| b.contains(row) && !r.contains(row))
+                            };
                             let (mut drops, mut dups) = (0u64, 0u64);
                             loop {
                                 let batch = match inbox.recv_timeout(Duration::from_millis(1)) {
@@ -215,7 +208,7 @@ pub fn eval_async_at(
                                 // not.
                                 let mut delta = Relation::new(schema.clone());
                                 for row in batch {
-                                    if acc.insert(row.clone()) {
+                                    if !held_already(&row) && acc.insert(row.clone()) {
                                         if fault.is_active() {
                                             let h = row_hash(&row);
                                             if fault.would_drop_row(h) {
@@ -308,7 +301,7 @@ pub fn eval_async_at(
     if moved > 0 {
         cluster.metrics().record_shuffle(moved);
     }
-    Ok(DistRel::from_parts(schema, parts, None))
+    Ok(parts)
 }
 
 #[cfg(test)]
@@ -401,8 +394,8 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(cfg));
         let cluster = Cluster::new(4).with_faults(plan, RecoveryPolicy::default());
         let site = cluster.fault().next_site();
-        assert!(eval_async_at(&seed, &recs, x, &cluster, &budget, site, 0, None).is_err());
-        let out = eval_async_at(&seed, &recs, x, &cluster, &budget, site, 1, None).unwrap();
+        assert!(eval_async_at(&seed, &recs, x, &cluster, &budget, site, 0).is_err());
+        let out = eval_async_at(&seed, &recs, x, &cluster, &budget, site, 1).unwrap();
         assert_eq!(out.collect().sorted_rows(), expected.collect().sorted_rows());
     }
 }

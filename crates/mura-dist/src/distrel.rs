@@ -42,6 +42,16 @@ fn key_hash(row: &[Value], key_pos: &[usize]) -> u64 {
     h.finish()
 }
 
+/// The partition (of `n`) a row lands in under the full-row key — the
+/// placement of [`DistRel::from_relation`].
+pub(crate) fn row_owner(row: &[Value], n: usize) -> usize {
+    let mut h = FxHasher::default();
+    for v in row {
+        v.hash(&mut h);
+    }
+    (h.finish() as usize) % n
+}
+
 impl DistRel {
     /// Empty distributed relation.
     pub fn empty(schema: Schema, cluster: &Cluster) -> Self {
@@ -279,6 +289,11 @@ impl DistRel {
             a.parts.iter().cloned().zip(b.parts.iter().cloned()).collect();
         let parts = cluster.par_map(&pairs, |_, (x, y)| x.antijoin(y))?;
         Ok(DistRel { schema: a.schema.clone(), parts, partitioned_by: a.partitioned_by.clone() })
+    }
+
+    /// The partitions, by value.
+    pub(crate) fn into_parts(self) -> Vec<Relation> {
+        self.parts
     }
 
     /// Builds a `DistRel` from explicit partitions (used by the local

@@ -17,6 +17,7 @@ use crate::localfix::{
     Prepared,
 };
 use crate::metrics::CommSnapshot;
+use crate::resident::{resume_local, step_all, unseen, FixChange, ResidentFix};
 use crate::sorted::SortedRelation;
 use crate::wire::TraceCtx;
 use mura_core::analysis::{check_fcond, decompose_fixpoint, stable_columns, TypeEnv};
@@ -100,36 +101,15 @@ pub struct ExecConfig {
     /// [`ExecStats::fix_totals`], keyed by the structural
     /// [`mura_core::term_key`] of its `Fix` subterm. The serving layer
     /// enables this for cacheable queries so incremental view maintenance
-    /// can later resume the semi-naive loop from the captured total
-    /// instead of recomputing from the seed. The captured copy is charged
-    /// against the byte budget.
+    /// can build a view's resident state ([`crate::resident`]) from the
+    /// captured totals instead of recomputing it. The captured copy is
+    /// charged against the byte budget.
     pub capture_fixpoints: bool,
-    /// Resume state per fixpoint (same keying as `capture_fixpoints`).
-    /// When a `Fix` subterm's key is present, the driver starts its
-    /// semi-naive loop from `acc ∪ seed ∪ delta` with frontier
-    /// `delta ∪ (seed \ acc)` instead of from the seed — the incremental
-    /// maintenance path after a database delta.
-    pub resume: Option<Arc<FxHashMap<u64, FixResume>>>,
     /// Communication backend override. `None` (the default) uses the
     /// in-process simulator; `Some` plugs in e.g. a
     /// [`crate::proc::ProcCluster`] so exchanges and broadcasts cross real
     /// sockets. The worker count must match [`ExecConfig::workers`].
     pub backend: Option<Arc<dyn CommBackend>>,
-}
-
-/// Resumable fixpoint state for incremental view maintenance (see
-/// [`ExecConfig::resume`]): `acc` is the maintained total (survivors after
-/// delete-rederive over-deletion, or the prior total for insert-only
-/// deltas) and `delta` is the maintenance frontier — the one-step
-/// derivations a database delta introduced, from which the ordinary
-/// semi-naive loop continues. Invariant: `delta ⊆ acc` is **not** required
-/// here; the driver unions the frontier into the accumulator itself.
-#[derive(Debug, Clone)]
-pub struct FixResume {
-    /// Starting accumulator.
-    pub acc: Relation,
-    /// Starting frontier.
-    pub delta: Relation,
 }
 
 impl Default for ExecConfig {
@@ -147,7 +127,6 @@ impl Default for ExecConfig {
             trace: TraceLevel::Off,
             query_id: 0,
             capture_fixpoints: false,
-            resume: None,
             backend: None,
         }
     }
@@ -181,6 +160,20 @@ pub struct ExecStats {
     /// [`mura_core::term_key`] of the `Fix` subterm. `None` when capture
     /// was off.
     pub fix_totals: Option<FxHashMap<u64, Relation>>,
+}
+
+/// The plan a fixpoint runs with (see `DistEvaluator::choose_plan`), and
+/// the one its resident state resumes with.
+pub(crate) enum FixPlan {
+    /// `P_plw` worker-local loops, partitioned by the stable columns. With
+    /// none, partitioning is arbitrary and the rows the loops derive are
+    /// routed to their full-row owners afterwards (the final distinct of
+    /// Prop. 3's general case).
+    Local(Vec<Sym>),
+    /// `P_gld`: a driver loop shuffling every superstep's new rows.
+    Global,
+    /// `P_async`: barrier-free delta exchange between owners.
+    Async,
 }
 
 /// A value during distributed evaluation: partitioned, or replicated to
@@ -310,6 +303,15 @@ impl<'db> DistEvaluator<'db> {
         self.flush_worker_trace();
         self.stats.trace = self.sink.as_ref().map(|s| s.finish());
         Ok(out)
+    }
+
+    /// Execution counters with the kernel and fault snapshots brought up
+    /// to date — for callers that drive the evaluator without
+    /// [`DistEvaluator::eval_collect`], such as view maintenance.
+    pub fn finish_stats(&mut self) -> ExecStats {
+        self.stats.kernel = kernel_stats().snapshot().since(&self.kernel_base);
+        self.stats.fault = self.cluster.fault().snapshot();
+        self.stats.clone()
     }
 
     fn fresh(&mut self, _hint: &str) -> Sym {
@@ -561,12 +563,9 @@ impl<'db> DistEvaluator<'db> {
     // ------------------------------------------------------------ fixpoint
 
     fn eval_fixpoint(&mut self, fix_term: &Term, x: Sym, body: &Term) -> Result<DistRel> {
-        // The structural key ties this `Fix` subterm to captured totals and
-        // resume state; only computed when either feature is on.
-        let key = (self.config.capture_fixpoints || self.config.resume.is_some())
-            .then(|| mura_core::term_key(fix_term));
-        let resume: Option<FixResume> =
-            key.and_then(|k| self.config.resume.as_ref().and_then(|m| m.get(&k))).cloned();
+        // The structural key ties this `Fix` subterm to its captured total;
+        // only computed when capture is on.
+        let key = self.config.capture_fixpoints.then(|| mura_core::term_key(fix_term));
         let (consts, recs) = decompose_fixpoint(x, body)?;
         // Constant part.
         let mut seed: Option<DVal> = None;
@@ -594,66 +593,41 @@ impl<'db> DistEvaluator<'db> {
             self.capture_total(key, &seed)?;
             return Ok(seed);
         }
-        // Fold the (possibly changed) seed into the maintained state:
-        // acc₀ = acc ∪ seed ∪ delta and delta₀ = delta ∪ (seed \ acc), so
-        // the drivers below iterate only over what the mutation could have
-        // changed while the accumulator already holds everything known.
-        let initial: Option<(Relation, Relation)> = match resume {
-            Some(r) => {
-                let seed_rel = seed.collect();
-                if seed_rel.schema() != r.acc.schema() || seed_rel.schema() != r.delta.schema() {
-                    return Err(MuraError::SchemaMismatch {
-                        left: seed_rel.schema().clone(),
-                        right: r.acc.schema().clone(),
-                        context: "fixpoint resume state",
-                    });
-                }
-                let mut delta0 = r.delta.clone();
-                for row in seed_rel.iter() {
-                    if !r.acc.contains(row) {
-                        delta0.insert(row.clone());
-                    }
-                }
-                let mut acc0 = r.acc;
-                for row in delta0.iter() {
-                    // acc ∪ seed ∪ delta = acc ∪ delta₀ (seed rows outside
-                    // acc were just folded into delta₀).
-                    acc0.insert(row.clone());
-                }
-                self.charge(acc0.len() + delta0.len(), acc0.schema().arity())?;
-                Some((acc0, delta0))
-            }
-            None => None,
-        };
         // Hoist loop invariants: x-free subterms of the recursive branches
         // are evaluated once and bound to fresh variables.
         let recs: Vec<Term> = {
             let mut hoisted = Vec::with_capacity(recs.len());
             for r in &recs {
-                hoisted.push(self.hoist(r, x)?);
+                hoisted.push(self.hoist(r, x, &mut Vec::new())?);
             }
             hoisted
         };
-        // Plan selection (§IV-B c): stable column → P_plw, else P_gld.
-        let mut env = self.type_env();
-        let stable = stable_columns(x, body, &mut env)?;
-        let out = match self.config.plan {
-            FixpointPlan::Auto if !stable.is_empty() => {
+        let out = match self.choose_plan(x, body)? {
+            FixPlan::Local(stable) => {
                 self.stats.plw_fixpoints += 1;
-                self.eval_plw(x, seed, &recs, &stable, initial)?
+                self.eval_plw(x, seed, &recs, &stable)?
             }
-            FixpointPlan::ForcePlw => {
-                self.stats.plw_fixpoints += 1;
-                self.eval_plw(x, seed, &recs, &stable, initial)?
-            }
-            FixpointPlan::ForceAsync => self.eval_async_plan(x, seed, &recs, initial)?,
-            _ => {
+            FixPlan::Async => self.eval_async_plan(x, seed, &recs)?,
+            FixPlan::Global => {
                 self.stats.gld_fixpoints += 1;
-                self.eval_gld(x, seed, &recs, initial)?
+                self.eval_gld(x, seed, &recs)?
             }
         };
         self.capture_total(key, &out)?;
         Ok(out)
+    }
+
+    /// Plan selection (§IV-B c): stable column → `P_plw`, else `P_gld`,
+    /// unless the configuration forces a plan.
+    fn choose_plan(&self, x: Sym, body: &Term) -> Result<FixPlan> {
+        let mut env = self.type_env();
+        let stable = stable_columns(x, body, &mut env)?;
+        Ok(match self.config.plan {
+            FixpointPlan::Auto if !stable.is_empty() => FixPlan::Local(stable),
+            FixpointPlan::ForcePlw => FixPlan::Local(stable),
+            FixpointPlan::ForceAsync => FixPlan::Async,
+            _ => FixPlan::Global,
+        })
     }
 
     /// Collects `rel` into [`ExecStats::fix_totals`] under `key` when
@@ -681,13 +655,7 @@ impl<'db> DistEvaluator<'db> {
     /// attempts, so afflicted workers heal after
     /// [`FaultConfig::failures_per_site`] attempts and the restart loop
     /// terminates deterministically.
-    fn eval_async_plan(
-        &mut self,
-        x: Sym,
-        seed: DistRel,
-        recs: &[Term],
-        initial: Option<(Relation, Relation)>,
-    ) -> Result<DistRel> {
+    fn eval_async_plan(&mut self, x: Sym, seed: DistRel, recs: &[Term]) -> Result<DistRel> {
         let fx = self.trace_fixpoint();
         self.set_trace_step(fx, 0);
         let mut start_ev = TraceEvent::new(EventKind::FixpointStart, fx, PlanKind::Async);
@@ -711,7 +679,6 @@ impl<'db> DistEvaluator<'db> {
                 &self.budget,
                 site,
                 attempt,
-                initial.as_ref(),
             ) {
                 Ok(out) => {
                     self.flush_worker_trace();
@@ -738,30 +705,25 @@ impl<'db> DistEvaluator<'db> {
     }
 
     /// Replaces maximal `x`-free subterms by fresh bound variables holding
-    /// their (once-)evaluated value.
-    fn hoist(&mut self, t: &Term, x: Sym) -> Result<Term> {
+    /// their (once-)evaluated value, recording each `(variable, subterm)`
+    /// pair in `invariants`.
+    fn hoist(&mut self, t: &Term, x: Sym, invariants: &mut Vec<(Sym, Term)>) -> Result<Term> {
         if !t.has_free_var(x) {
             let v = self.eval(t)?;
             let name = self.fresh("inv");
             self.bound.insert(name, v);
+            invariants.push((name, t.clone()));
             return Ok(Term::Var(name));
         }
+        let mut h = |t: &Term| self.hoist(t, x, invariants).map(Box::new);
         Ok(match t {
             Term::Var(_) | Term::Cst(_) => t.clone(),
-            Term::Filter(ps, inner) => Term::Filter(ps.clone(), Box::new(self.hoist(inner, x)?)),
-            Term::Rename(a, b, inner) => Term::Rename(*a, *b, Box::new(self.hoist(inner, x)?)),
-            Term::AntiProject(cs, inner) => {
-                Term::AntiProject(cs.clone(), Box::new(self.hoist(inner, x)?))
-            }
-            Term::Join(a, b) => {
-                Term::Join(Box::new(self.hoist(a, x)?), Box::new(self.hoist(b, x)?))
-            }
-            Term::Antijoin(a, b) => {
-                Term::Antijoin(Box::new(self.hoist(a, x)?), Box::new(self.hoist(b, x)?))
-            }
-            Term::Union(a, b) => {
-                Term::Union(Box::new(self.hoist(a, x)?), Box::new(self.hoist(b, x)?))
-            }
+            Term::Filter(ps, inner) => Term::Filter(ps.clone(), h(inner)?),
+            Term::Rename(a, b, inner) => Term::Rename(*a, *b, h(inner)?),
+            Term::AntiProject(cs, inner) => Term::AntiProject(cs.clone(), h(inner)?),
+            Term::Join(a, b) => Term::Join(h(a)?, h(b)?),
+            Term::Antijoin(a, b) => Term::Antijoin(h(a)?, h(b)?),
+            Term::Union(a, b) => Term::Union(h(a)?, h(b)?),
             Term::Fix(_, _) => unreachable!("F_cond: x cannot occur under a nested fixpoint"),
         })
     }
@@ -770,22 +732,9 @@ impl<'db> DistEvaluator<'db> {
     /// branch kernels partition-wise to the delta (loop invariants folded
     /// and indexed once, before the loop starts), and the union/difference
     /// with the accumulator forces a shuffle of the new tuples each
-    /// iteration (paper §IV-A1).
-    ///
-    /// The driver is also the recovery supervisor for this plan: every
-    /// [`ExecConfig::checkpoint_every`] supersteps it snapshots
-    /// `(acc, delta, iteration)` (cheap: `Relation` is copy-on-write), and
-    /// when a superstep fails with a retryable error after the cluster's
-    /// task retries are exhausted, it rolls back to the last checkpoint —
-    /// or restarts from the seed when none exists — up to
-    /// [`RecoveryPolicy::max_restores`] times.
-    fn eval_gld(
-        &mut self,
-        x: Sym,
-        seed: DistRel,
-        recs: &[Term],
-        initial: Option<(Relation, Relation)>,
-    ) -> Result<DistRel> {
+    /// iteration (paper §IV-A1). The driver is also the recovery
+    /// supervisor for this plan (see [`Self::supervise_gld`]).
+    fn eval_gld(&mut self, x: Sym, seed: DistRel, recs: &[Term]) -> Result<DistRel> {
         let fx = self.trace_fixpoint();
         self.set_trace_step(fx, 0);
         let mut start_ev = TraceEvent::new(EventKind::FixpointStart, fx, PlanKind::Gld);
@@ -807,45 +756,77 @@ impl<'db> DistEvaluator<'db> {
         // whole fixpoint: charge them against the byte budget up front.
         self.budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
         self.record_window(&setup, TraceEvent::new(EventKind::Setup, fx, PlanKind::Gld));
+        let ((acc, _), iter) = self.supervise_gld(
+            fx,
+            (seed.clone(), seed.clone()),
+            seed.len() as u64,
+            |(_, delta)| delta.is_empty(),
+            |(acc, delta)| (acc.len() + delta.len()) as u64,
+            |ev, (acc, delta)| {
+                Ok(ev.gld_superstep(&prepared, acc, delta)?.map(|(a, d)| {
+                    let rows = d.len() as u64;
+                    *acc = a;
+                    *delta = d;
+                    rows
+                }))
+            },
+        )?;
+        self.flush_worker_trace();
+        let mut end_ev = TraceEvent::new(EventKind::FixpointEnd, fx, PlanKind::Gld);
+        end_ev.iteration = iter;
+        end_ev.delta_rows = acc.len() as u64;
+        self.record_point(end_ev);
+        Ok(acc)
+    }
+
+    /// The driver-side recovery supervisor of every `P_gld` loop, fresh
+    /// and resumed: runs `step` on the state `init` until `done` holds or
+    /// it reports no progress (`Ok(None)`; otherwise it advances the state
+    /// in place and returns its delta rows). Every [`ExecConfig::checkpoint_every`]
+    /// supersteps it snapshots the state (cheap: relations are
+    /// copy-on-write), and when a superstep fails with a retryable error
+    /// after the cluster's task retries are exhausted, it rolls back to the
+    /// last checkpoint — or restarts from `init` when none exists — up to
+    /// [`RecoveryPolicy::max_restores`] times (`size` measures a restored
+    /// state and `restart_rows` a restart, for the fault statistics).
+    /// Returns the final state and the number of supersteps that made
+    /// progress.
+    fn supervise_gld<S: Clone>(
+        &mut self,
+        fx: u32,
+        init: S,
+        restart_rows: u64,
+        done: impl Fn(&S) -> bool,
+        size: impl Fn(&S) -> u64,
+        mut step: impl FnMut(&mut Self, &mut S) -> Result<Option<u64>>,
+    ) -> Result<(S, u64)> {
         let checkpoint_every = self.config.checkpoint_every;
-        // A resumed fixpoint starts from the maintained accumulator and
-        // frontier instead of the seed; restarts must reset to the same
-        // pair, or recovery would silently discard the maintained state.
-        let (init_acc, init_delta) = match &initial {
-            Some((a, d)) => {
-                (DistRel::from_relation(a, &self.cluster), DistRel::from_relation(d, &self.cluster))
-            }
-            None => (seed.clone(), seed.clone()),
-        };
-        let mut acc = init_acc.clone();
-        let mut delta = init_delta.clone();
+        let mut state = init.clone();
         let mut iter: u64 = 0;
-        let mut ckpt: Option<(DistRel, DistRel, u64)> = None;
+        let mut ckpt: Option<(S, u64)> = None;
         let mut restores: u32 = 0;
-        while !delta.is_empty() {
+        while !done(&state) {
             // Fires between supersteps and after every restore, so a
             // cancelled or out-of-budget query stops recovering immediately.
             self.budget.check()?;
             let window = self.probe_superstep();
             // Frames shuffled by this superstep carry its 1-based number.
             self.set_trace_step(fx, iter as u32 + 1);
-            match self.gld_superstep(&prepared, &acc, &delta) {
+            self.stats.fixpoint_iterations += 1;
+            kernel_stats().record_iteration();
+            let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
+            ev.iteration = iter + 1;
+            match step(self, &mut state) {
                 Ok(None) => {
-                    let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
-                    ev.iteration = iter + 1;
                     self.record_window(&window, ev);
                     break;
                 }
-                Ok(Some((a, d))) => {
-                    let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
-                    ev.iteration = iter + 1;
-                    ev.delta_rows = d.len() as u64;
+                Ok(Some(rows)) => {
+                    ev.delta_rows = rows;
                     self.record_window(&window, ev);
-                    acc = a;
-                    delta = d;
                     iter += 1;
                     if checkpoint_every > 0 && iter.is_multiple_of(checkpoint_every) {
-                        ckpt = Some((acc.clone(), delta.clone(), iter));
+                        ckpt = Some((state.clone(), iter));
                         self.cluster.fault().record_checkpoint();
                     }
                 }
@@ -854,20 +835,18 @@ impl<'db> DistEvaluator<'db> {
                         return Err(e);
                     }
                     restores += 1;
+                    // A failed step may have left `state` half-updated: it
+                    // is always replaced wholesale below.
                     let recovery = match &ckpt {
-                        Some((a, d, i)) => {
-                            self.cluster
-                                .fault()
-                                .record_restore((a.len() + d.len()) as u64, iter - *i);
-                            acc = a.clone();
-                            delta = d.clone();
+                        Some((s, i)) => {
+                            self.cluster.fault().record_restore(size(s), iter - *i);
+                            state = s.clone();
                             iter = *i;
                             RecoveryKind::Restore
                         }
                         None => {
-                            self.cluster.fault().record_full_restart(seed.len() as u64);
-                            acc = init_acc.clone();
-                            delta = init_delta.clone();
+                            self.cluster.fault().record_full_restart(restart_rows);
+                            state = init.clone();
                             iter = 0;
                             RecoveryKind::Restart
                         }
@@ -881,12 +860,7 @@ impl<'db> DistEvaluator<'db> {
             }
         }
         self.set_trace_step(fx, 0);
-        self.flush_worker_trace();
-        let mut end_ev = TraceEvent::new(EventKind::FixpointEnd, fx, PlanKind::Gld);
-        end_ev.iteration = iter;
-        end_ev.delta_rows = acc.len() as u64;
-        self.record_point(end_ev);
-        Ok(acc)
+        Ok((state, iter))
     }
 
     /// One `P_gld` superstep. Returns the next `(acc, delta)` pair, or
@@ -897,8 +871,6 @@ impl<'db> DistEvaluator<'db> {
         acc: &DistRel,
         delta: &DistRel,
     ) -> Result<Option<(DistRel, DistRel)>> {
-        self.stats.fixpoint_iterations += 1;
-        kernel_stats().record_iteration();
         let mut new: Option<DistRel> = None;
         for p in prepared {
             let start = Instant::now();
@@ -944,7 +916,6 @@ impl<'db> DistEvaluator<'db> {
         seed: DistRel,
         recs: &[Term],
         stable: &[Sym],
-        initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {
         let fx = self.trace_fixpoint();
         self.set_trace_step(fx, 0);
@@ -956,39 +927,16 @@ impl<'db> DistEvaluator<'db> {
         // so every later superstep event shows zero shuffled rows.
         let window = self.probe();
         let seed = if stable.is_empty() { seed } else { seed.repartition(stable, &self.cluster)? };
-        // Resumed state is partitioned exactly like the seed (by the stable
-        // columns when they exist), so every worker's local loop sees the
-        // accumulator and frontier rows of its own key range. Without a
-        // stable column the partitioning is arbitrary: local loops may
-        // re-derive rows another partition already holds, which the final
-        // distinct removes (the Prop. 3 general case).
-        let resumed: Option<(DistRel, DistRel)> = match &initial {
-            Some((a, d)) => {
-                let part = |r: &Relation| -> Result<DistRel> {
-                    let dr = DistRel::from_relation(r, &self.cluster);
-                    if stable.is_empty() {
-                        Ok(dr)
-                    } else {
-                        dr.repartition(stable, &self.cluster)
-                    }
-                };
-                Some((part(a)?, part(d)?))
-            }
-            None => None,
-        };
         // Resolve hoisted invariants to full local copies (broadcast).
         let mut recs_local = Vec::with_capacity(recs.len());
         for r in recs {
             recs_local.push(self.resolve_to_constants(r, x)?);
         }
         self.record_window(&window, TraceEvent::new(EventKind::Setup, fx, PlanKind::Plw));
-        let resumed = resumed.as_ref().map(|(a, d)| (a, d));
         let parts = match self.config.local_engine {
-            LocalEngine::SetRdd => {
-                self.run_plw_typed::<Relation>(&seed, &recs_local, x, fx, resumed)?
-            }
+            LocalEngine::SetRdd => self.run_plw_typed::<Relation>(&seed, &recs_local, x, fx)?,
             LocalEngine::Sorted => {
-                self.run_plw_typed::<SortedRelation>(&seed, &recs_local, x, fx, resumed)?
+                self.run_plw_typed::<SortedRelation>(&seed, &recs_local, x, fx)?
             }
         };
         self.stats.fixpoint_iterations += 1; // the parallel local loops count once globally
@@ -1026,7 +974,6 @@ impl<'db> DistEvaluator<'db> {
         recs: &[Term],
         x: Sym,
         fx: u32,
-        resumed: Option<(&DistRel, &DistRel)>,
     ) -> Result<Vec<Relation>> {
         let prepared: Vec<Prepared<R>> =
             recs.iter().map(|r| prepare(r, x, seed.schema())).collect::<Result<_>>()?;
@@ -1049,11 +996,282 @@ impl<'db> DistEvaluator<'db> {
                 trace,
                 fixpoint: fx,
             };
-            // This worker's slice of the maintained accumulator/frontier,
-            // co-partitioned with the seed above.
-            let initial = resumed.map(|(a, d)| (&a.parts()[w], &d.parts()[w]));
-            local_fixpoint_supervised(part, &prepared, &ctx, initial)
+            local_fixpoint_supervised(part, &prepared, &ctx)
         })
+    }
+
+    // ----------------------------------------------------------- resident
+
+    /// Builds the resident state of the fixpoint `fix_term` (see
+    /// [`crate::resident`]) from its captured value `total`: places the
+    /// total in the partitioning its plan uses and prepares the recursive
+    /// branches over invariants evaluated against this evaluator's
+    /// database. Placement and invariant broadcasts are charged as the
+    /// set-up communication of a fresh run would be.
+    pub fn build_resident(&mut self, fix_term: &Term, total: &Relation) -> Result<ResidentFix> {
+        let Term::Fix(x, body) = fix_term else {
+            return Err(MuraError::Other("resident state needs a fixpoint term".into()));
+        };
+        let x = *x;
+        let (_, recs) = decompose_fixpoint(x, body)?;
+        let mut invariants = Vec::new();
+        let mut hoisted = Vec::with_capacity(recs.len());
+        for r in &recs {
+            hoisted.push(self.hoist(r, x, &mut invariants)?);
+        }
+        let mut env = FxHashMap::default();
+        for (sym, _) in &invariants {
+            let rel = match self.bound.get(sym).cloned().ok_or(MuraError::UnboundVariable(*sym))? {
+                DVal::Repl(r) => (*r).clone(),
+                DVal::Dist(d) => {
+                    let rel = d.collect();
+                    self.cluster.broadcast_rel(&rel)?;
+                    rel
+                }
+            };
+            env.insert(*sym, rel);
+        }
+        let schema = total.schema().clone();
+        let prepared = hoisted
+            .iter()
+            .map(|t| crate::localfix::prepare_in(t, x, &schema, &env))
+            .collect::<Result<Vec<_>>>()?;
+        let plan = self.choose_plan(x, body)?;
+        let placed = DistRel::from_relation(total, &self.cluster);
+        let placed = match &plan {
+            FixPlan::Local(stable) if !stable.is_empty() => {
+                placed.repartition(stable, &self.cluster)?
+            }
+            _ => placed,
+        };
+        let mut resident = ResidentFix {
+            schema,
+            plan,
+            parts: placed.into_parts(),
+            invariants,
+            prepared,
+            charge: mura_core::MemCharge::new(),
+        };
+        resident.recharge();
+        Ok(resident)
+    }
+
+    /// Advances a resident fixpoint by one batch: `removed` (a subset of
+    /// its value) leaves the accumulator, the loop invariants follow
+    /// `invariant_changes` (`(index into ResidentFix::invariants, plus,
+    /// minus)`), and the semi-naive loop resumes from `frontier` until the
+    /// new least fixpoint is reached. Commits and returns the net change
+    /// only on success: on any error the resident state is exactly as
+    /// before the call.
+    pub fn resume_resident(
+        &mut self,
+        r: &mut ResidentFix,
+        removed: &Relation,
+        frontier: &Relation,
+        invariant_changes: &[(usize, Relation, Relation)],
+    ) -> Result<FixChange> {
+        for (done, (i, plus, minus)) in invariant_changes.iter().enumerate() {
+            if let Err(e) = r.update_invariant(*i, plus, minus) {
+                Self::revert_invariants(r, &invariant_changes[..done]);
+                return Err(e);
+            }
+        }
+        match self.resume_loop(r, removed, frontier) {
+            Ok((removed, added)) => Ok(r.commit(&removed, &added)),
+            Err(e) => {
+                Self::revert_invariants(r, invariant_changes);
+                Err(e)
+            }
+        }
+    }
+
+    fn revert_invariants(r: &mut ResidentFix, changes: &[(usize, Relation, Relation)]) {
+        for (i, plus, minus) in changes.iter().rev() {
+            // Swapping the sides undoes an applied change exactly.
+            let _ = r.update_invariant(*i, minus, plus);
+        }
+    }
+
+    /// Routes `rel` to the owners of a resident fixpoint's partitions.
+    fn scatter(&self, r: &ResidentFix, rel: &Relation) -> Result<Vec<Relation>> {
+        if rel.is_empty() {
+            return Ok(vec![Relation::new(rel.schema().clone()); r.parts.len()]);
+        }
+        let placed = DistRel::from_relation(rel, &self.cluster);
+        Ok(match &r.plan {
+            FixPlan::Local(stable) if !stable.is_empty() => {
+                placed.repartition(stable, &self.cluster)?.into_parts()
+            }
+            _ => placed.into_parts(),
+        })
+    }
+
+    /// Runs the resumed loop without touching the resident partitions.
+    /// Returns the per-partition removed and added rows.
+    fn resume_loop(
+        &mut self,
+        r: &ResidentFix,
+        removed: &Relation,
+        frontier: &Relation,
+    ) -> Result<(Vec<Relation>, Vec<Relation>)> {
+        let removed = self.scatter(r, removed)?;
+        let frontier = self.scatter(r, frontier)?;
+        self.charge(frontier.iter().map(Relation::len).sum(), r.schema.arity())?;
+        let added = match &r.plan {
+            FixPlan::Local(stable) => {
+                self.stats.plw_fixpoints += 1;
+                self.stats.fixpoint_iterations += 1;
+                let added = self.resume_plw(r, &removed, &frontier)?;
+                if stable.is_empty() {
+                    // Local loops may derive rows another partition owns:
+                    // route them to their owners (Prop. 3's final distinct).
+                    let moved = DistRel::from_parts(r.schema.clone(), added, None)
+                        .distinct(&self.cluster)?
+                        .into_parts();
+                    moved
+                        .iter()
+                        .enumerate()
+                        .map(|(w, m)| {
+                            unseen(m, &r.parts[w], &removed[w], &Relation::new(r.schema.clone()))
+                        })
+                        .collect()
+                } else {
+                    added
+                }
+            }
+            FixPlan::Global => {
+                self.stats.gld_fixpoints += 1;
+                self.resume_gld(r, &removed, &frontier)?
+            }
+            FixPlan::Async => self.resume_async(r, &removed, &frontier)?,
+        };
+        Ok((removed, added))
+    }
+
+    fn resume_plw(
+        &self,
+        r: &ResidentFix,
+        removed: &[Relation],
+        frontier: &[Relation],
+    ) -> Result<Vec<Relation>> {
+        let budget = &self.budget;
+        let fault = self.cluster.fault();
+        let loop_site = fault.next_site();
+        let recovery = *self.cluster.recovery();
+        let checkpoint_every = self.config.checkpoint_every;
+        let workers: Vec<usize> = (0..r.parts.len()).collect();
+        self.cluster.try_par_map(&workers, |_, &w| {
+            let ctx = LoopCtx {
+                budget,
+                fault,
+                site: loop_site,
+                worker: w,
+                recovery,
+                checkpoint_every,
+                trace: None,
+                fixpoint: 0,
+            };
+            resume_local(&r.prepared, &r.parts[w], &removed[w], &frontier[w], &ctx)
+        })
+    }
+
+    /// The `P_gld` driver loop over overlays: each superstep applies the
+    /// branches partition-wise, shuffles the produced rows to their owners
+    /// and keeps the ones no overlay holds yet. Supervised like
+    /// [`Self::eval_gld`], over `(added, delta)` states.
+    fn resume_gld(
+        &mut self,
+        r: &ResidentFix,
+        removed: &[Relation],
+        frontier: &[Relation],
+    ) -> Result<Vec<Relation>> {
+        let empty = Relation::new(r.schema.clone());
+        let start: Vec<Relation> = (0..r.parts.len())
+            .map(|w| unseen(&frontier[w], &r.parts[w], &removed[w], &empty))
+            .collect();
+        let rows = |rels: &[Relation]| rels.iter().map(Relation::len).sum::<usize>() as u64;
+        let restart_rows = rows(&start);
+        let fx = self.trace_fixpoint();
+        let ((added, _), _) = self.supervise_gld(
+            fx,
+            (start.clone(), start),
+            restart_rows,
+            |(_, delta)| delta.iter().all(Relation::is_empty),
+            |(added, delta)| rows(added) + rows(delta),
+            |ev, (added, delta)| {
+                let fresh = ev.resume_gld_superstep(r, removed, added, delta)?;
+                let n = rows(&fresh);
+                if n == 0 {
+                    return Ok(None);
+                }
+                for (a, f) in added.iter_mut().zip(&fresh) {
+                    for row in f.iter() {
+                        a.insert(row.clone());
+                    }
+                }
+                *delta = fresh;
+                Ok(Some(n))
+            },
+        )?;
+        Ok(added)
+    }
+
+    /// One resumed `P_gld` superstep: the branches applied partition-wise
+    /// to `delta`, the produced rows shuffled to their owners, and the
+    /// rows no overlay holds yet returned per partition.
+    fn resume_gld_superstep(
+        &mut self,
+        r: &ResidentFix,
+        removed: &[Relation],
+        added: &[Relation],
+        delta: &[Relation],
+    ) -> Result<Vec<Relation>> {
+        let site = self.cluster.fault().next_site();
+        let t = Instant::now();
+        let produced =
+            self.cluster.try_par_map_at(site, 0, delta, |_, d| step_all(&r.prepared, d))?;
+        kernel_stats().record_eval_time(t.elapsed());
+        self.charge(produced.iter().map(Relation::len).sum(), r.schema.arity())?;
+        let routed = DistRel::from_parts(r.schema.clone(), produced, None)
+            .distinct(&self.cluster)?
+            .into_parts();
+        Ok((0..routed.len())
+            .map(|w| unseen(&routed[w], &r.parts[w], &removed[w], &added[w]))
+            .collect())
+    }
+
+    /// The `P_async` resumed loop, restarted whole on a retryable failure
+    /// like [`Self::eval_async_plan`].
+    fn resume_async(
+        &mut self,
+        r: &ResidentFix,
+        removed: &[Relation],
+        frontier: &[Relation],
+    ) -> Result<Vec<Relation>> {
+        self.stats.fixpoint_iterations += 1;
+        let site = self.cluster.fault().next_site();
+        let mut attempt: u32 = 0;
+        loop {
+            match crate::asyncfix::run_async(
+                &r.prepared,
+                &r.schema,
+                frontier,
+                Some((&r.parts, removed)),
+                &self.cluster,
+                &self.budget,
+                site,
+                attempt,
+            ) {
+                Ok(added) => return Ok(added),
+                Err(e) if e.is_retryable() && attempt < self.config.recovery.max_restores => {
+                    self.budget.check()?;
+                    attempt += 1;
+                    let rows = frontier.iter().map(Relation::len).sum::<usize>();
+                    self.cluster.fault().record_full_restart(rows as u64);
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Replaces hoisted variables by broadcast constant relations inside a
@@ -1108,6 +1326,7 @@ impl<'db> DistEvaluator<'db> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, RecoveryPolicy};
     use mura_core::eval as eval_central;
 
     /// The paper's Fig. 2 graph.
@@ -1241,6 +1460,52 @@ mod tests {
         let mut ev = DistEvaluator::new(&db, config);
         let got = ev.eval_collect(&term).unwrap();
         assert_eq!(got.sorted_rows(), expected.sorted_rows());
+    }
+
+    /// A resumed loop that fails past recovery leaves the resident state
+    /// exactly at its pre-batch version — partitions and loop invariants —
+    /// so a later resume starts from there.
+    #[test]
+    fn failed_resume_leaves_resident_state_untouched() {
+        let (db, term) = paper_db();
+        let total = eval_central(&term, &db).unwrap();
+        let sym = |n: &str| db.dict().lookup(n).unwrap();
+        let (src, dst, m) = (sym("src"), sym("dst"), sym("m"));
+        let frontier = Relation::from_pairs(src, dst, [(1, 20)]);
+        let inv_plus = Relation::from_pairs(m, dst, [(20, 21)]);
+        let none = |s: &Relation| Relation::new(s.schema().clone());
+        for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::ForceAsync] {
+            let clean = ExecConfig { plan, ..Default::default() };
+            let mut r =
+                DistEvaluator::new(&db, clean.clone()).build_resident(&term, &total).unwrap();
+            let before: Vec<_> = r.parts().iter().map(Relation::sorted_rows).collect();
+            assert_eq!(r.invariants().count(), 1, "ρ(E) is the one invariant");
+            let faulty = ExecConfig {
+                fault: FaultConfig { panic_prob: 1.0, seed: 1, ..Default::default() },
+                recovery: RecoveryPolicy { max_retries: 0, max_restores: 0, ..Default::default() },
+                ..clean.clone()
+            };
+            let changes = [(0, inv_plus.clone(), none(&inv_plus))];
+            let err = DistEvaluator::new(&db, faulty).resume_resident(
+                &mut r,
+                &none(&total),
+                &frontier,
+                &changes,
+            );
+            assert!(err.is_err(), "{plan:?}: every task panics, nothing recovers");
+            let after: Vec<_> = r.parts().iter().map(Relation::sorted_rows).collect();
+            assert_eq!(before, after, "{plan:?}: partitions must be untouched");
+            // Resuming without the invariant change must not see it: the
+            // failed attempt reverted it, so (1, 21) is not derivable.
+            let change = DistEvaluator::new(&db, clean)
+                .resume_resident(&mut r, &none(&total), &frontier, &[])
+                .unwrap();
+            assert_eq!(change.plus.sorted_rows(), frontier.sorted_rows(), "{plan:?}");
+            assert!(change.minus.is_empty());
+            let mut want = total.clone();
+            want.insert(frontier.sorted_rows()[0].clone());
+            assert_eq!(r.collect().sorted_rows(), want.sorted_rows(), "{plan:?}");
+        }
     }
 
     #[test]

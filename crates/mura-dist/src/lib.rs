@@ -33,6 +33,7 @@ pub mod fault;
 pub mod localfix;
 pub mod metrics;
 pub mod proc;
+pub mod resident;
 pub mod sorted;
 pub mod wire;
 pub mod worker;
@@ -43,10 +44,11 @@ pub use cluster::{
 };
 pub use distrel::DistRel;
 pub use engine::{explain_plan, PlannedQuery, QueryEngine, QueryOutput};
-pub use exec::{DistEvaluator, ExecConfig, ExecStats, FixResume, FixpointPlan, ResourceLimits};
+pub use exec::{DistEvaluator, ExecConfig, ExecStats, FixpointPlan, ResourceLimits};
 pub use fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
 pub use localfix::LocalEngine;
 pub use metrics::{CommSnapshot, CommStats};
 pub use mura_obs::{QueryTrace, TraceLevel};
 pub use proc::{ProcCluster, ProcClusterConfig};
+pub use resident::{FixChange, ResidentFix};
 pub use wire::{TraceCtx, WorkerSpan};

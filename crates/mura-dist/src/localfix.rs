@@ -15,6 +15,7 @@
 
 use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::sorted::SortedRelation;
+use mura_core::fxhash::FxHashMap;
 use mura_core::kernel::kernel_stats;
 use mura_core::mem::{mem_gauge, rel_bytes};
 use mura_core::{
@@ -318,7 +319,9 @@ impl LocalRel for SortedRelation {
 ///   cached key-set ([`Prepared::AntijoinIdx`]).
 pub enum Prepared<R> {
     Delta,
-    Const(R),
+    /// A folded loop-invariant value, tagged with the invariant's symbol
+    /// when it was prepared from a bound invariant (see [`prepare_in`]).
+    Const(R, Option<Sym>),
     Filter(Vec<Pred>, Box<Prepared<R>>),
     Rename(Sym, Sym, Box<Prepared<R>>),
     AntiProject(Vec<Sym>, Box<Prepared<R>>),
@@ -326,8 +329,8 @@ pub enum Prepared<R> {
     Antijoin(Box<Prepared<R>>, Box<Prepared<R>>),
     Union(Box<Prepared<R>>, Box<Prepared<R>>),
     /// Delta-dependent subtree joined against a loop-invariant side through
-    /// a cached build-side index.
-    JoinIdx(Box<Prepared<R>>, JoinIndex),
+    /// a cached build-side index (tagged like [`Prepared::Const`]).
+    JoinIdx(Box<Prepared<R>>, JoinIndex, Option<Sym>),
     /// Delta-dependent subtree antijoined against a cached key-set; the
     /// schema is the subtree's output schema.
     AntijoinIdx(Box<Prepared<R>>, KeyIndex, Schema),
@@ -342,15 +345,59 @@ impl<R: LocalRel> Prepared<R> {
     pub fn cached_bytes(&self) -> u64 {
         match self {
             Prepared::Delta => 0,
-            Prepared::Const(r) => rel_bytes(r.len() as u64, r.schema().arity()),
+            Prepared::Const(r, _) => rel_bytes(r.len() as u64, r.schema().arity()),
             Prepared::Filter(_, t) | Prepared::Rename(_, _, t) | Prepared::AntiProject(_, t) => {
                 t.cached_bytes()
             }
             Prepared::Join(a, b) | Prepared::Antijoin(a, b) | Prepared::Union(a, b) => {
                 a.cached_bytes() + b.cached_bytes()
             }
-            Prepared::JoinIdx(t, idx) => t.cached_bytes() + idx.approx_bytes(),
+            Prepared::JoinIdx(t, idx, _) => t.cached_bytes() + idx.approx_bytes(),
             Prepared::AntijoinIdx(t, idx, _) => t.cached_bytes() + idx.approx_bytes(),
+        }
+    }
+}
+
+impl Prepared<Relation> {
+    /// Follows a change of the bound invariant `inv` (see [`prepare_in`])
+    /// in place: `minus` rows leave and `plus` rows enter every cached node
+    /// built from it. Returns how many nodes were updated; an invariant
+    /// consumed by a node that cannot be updated (an antijoin key-set)
+    /// counts zero, and the caller must rebuild instead.
+    pub(crate) fn update(&mut self, inv: Sym, plus: &Relation, minus: &Relation) -> usize {
+        match self {
+            Prepared::Delta => 0,
+            Prepared::Const(r, Some(tag)) if *tag == inv => {
+                for row in minus.iter() {
+                    r.remove(row);
+                }
+                for row in plus.iter() {
+                    r.insert(row.clone());
+                }
+                1
+            }
+            Prepared::JoinIdx(t, idx, tag) => {
+                let here = if *tag == Some(inv) {
+                    for row in minus.iter() {
+                        idx.remove(row);
+                    }
+                    for row in plus.iter() {
+                        idx.insert(row.clone());
+                    }
+                    1
+                } else {
+                    0
+                };
+                here + t.update(inv, plus, minus)
+            }
+            Prepared::Const(..) => 0,
+            Prepared::Filter(_, t)
+            | Prepared::Rename(_, _, t)
+            | Prepared::AntiProject(_, t)
+            | Prepared::AntijoinIdx(t, _, _) => t.update(inv, plus, minus),
+            Prepared::Join(a, b) | Prepared::Antijoin(a, b) | Prepared::Union(a, b) => {
+                a.update(inv, plus, minus) + b.update(inv, plus, minus)
+            }
         }
     }
 }
@@ -358,7 +405,8 @@ impl<R: LocalRel> Prepared<R> {
 /// Result of `prep`: a fully folded constant, or a delta-dependent kernel
 /// with its output schema.
 enum Prep<R> {
-    Const(Relation),
+    /// A folded constant, with the symbol of the bound invariant it is.
+    Const(Relation, Option<Sym>),
     Dyn(Prepared<R>, Schema),
 }
 
@@ -366,35 +414,57 @@ enum Prep<R> {
 /// work happens at prepare time (once per fixpoint), not per iteration.
 fn fold<R>(r: Relation) -> Prep<R> {
     kernel_stats().record_const_fold();
-    Prep::Const(r)
+    Prep::Const(r, None)
 }
 
 /// Compiles a hoisted recursive branch (all `x`-free subterms are `Cst`):
 /// folds loop-invariant subtrees and builds join/antijoin indexes against
 /// them. `delta_schema` is the schema bound to the recursion variable.
 pub fn prepare<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prepared<R>> {
-    Ok(match prep(term, x, delta_schema)? {
+    prepare_in(term, x, delta_schema, &FxHashMap::default())
+}
+
+/// Like [`prepare`], but the branch's loop invariants may also be `Var`
+/// leaves bound in `env`. Every cached node built from such an invariant
+/// is tagged with its symbol, so [`Prepared::update`] can later follow a
+/// change of that invariant in place.
+pub(crate) fn prepare_in<R: LocalRel>(
+    term: &Term,
+    x: Sym,
+    delta_schema: &Schema,
+    env: &FxHashMap<Sym, Relation>,
+) -> Result<Prepared<R>> {
+    Ok(match prep(term, x, delta_schema, env)? {
         Prep::Dyn(p, _) => p,
         // A branch without the recursion variable at all: constant forever.
-        Prep::Const(r) => Prepared::Const(R::from_relation(&r)),
+        Prep::Const(r, tag) => Prepared::Const(R::from_relation(&r), tag),
     })
 }
 
-fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<R>> {
+fn prep<R: LocalRel>(
+    term: &Term,
+    x: Sym,
+    delta_schema: &Schema,
+    env: &FxHashMap<Sym, Relation>,
+) -> Result<Prep<R>> {
+    let prep = |t: &Term| prep::<R>(t, x, delta_schema, env);
     Ok(match term {
         Term::Var(v) if *v == x => Prep::Dyn(Prepared::Delta, delta_schema.clone()),
-        Term::Var(v) => {
-            return Err(MuraError::Other(format!(
-                "unhoisted variable {v} in local fixpoint branch"
-            )))
-        }
-        Term::Cst(r) => Prep::Const((**r).clone()),
-        Term::Filter(ps, t) => match prep(t, x, delta_schema)? {
-            Prep::Const(r) => fold(LocalRel::filter_preds(&r, ps)?),
+        Term::Var(v) => match env.get(v) {
+            Some(r) => Prep::Const(r.clone(), Some(*v)),
+            None => {
+                return Err(MuraError::Other(format!(
+                    "unhoisted variable {v} in local fixpoint branch"
+                )))
+            }
+        },
+        Term::Cst(r) => Prep::Const((**r).clone(), None),
+        Term::Filter(ps, t) => match prep(t)? {
+            Prep::Const(r, _) => fold(LocalRel::filter_preds(&r, ps)?),
             Prep::Dyn(p, s) => Prep::Dyn(Prepared::Filter(ps.clone(), Box::new(p)), s),
         },
-        Term::Rename(a, b, t) => match prep(t, x, delta_schema)? {
-            Prep::Const(r) => fold(r.rename(*a, *b)),
+        Term::Rename(a, b, t) => match prep(t)? {
+            Prep::Const(r, _) => fold(r.rename(*a, *b)),
             Prep::Dyn(p, s) => {
                 let out = s
                     .rename(*a, *b)
@@ -402,8 +472,8 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
                 Prep::Dyn(Prepared::Rename(*a, *b, Box::new(p)), out)
             }
         },
-        Term::AntiProject(cs, t) => match prep(t, x, delta_schema)? {
-            Prep::Const(r) => fold(r.antiproject(cs)),
+        Term::AntiProject(cs, t) => match prep(t)? {
+            Prep::Const(r, _) => fold(r.antiproject(cs)),
             Prep::Dyn(p, s) => {
                 let out = s
                     .antiproject(cs)
@@ -412,14 +482,15 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
             }
         },
         Term::Join(a, b) => {
-            match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
-                (Prep::Const(ra), Prep::Const(rb)) => fold(ra.join(&rb)),
+            match (prep(a)?, prep(b)?) {
+                (Prep::Const(ra, _), Prep::Const(rb, _)) => fold(ra.join(&rb)),
                 // One loop-invariant side: index it once, probe with the
                 // delta-dependent side each iteration.
-                (Prep::Const(ra), Prep::Dyn(p, s)) | (Prep::Dyn(p, s), Prep::Const(ra)) => {
+                (Prep::Const(ra, tag), Prep::Dyn(p, s))
+                | (Prep::Dyn(p, s), Prep::Const(ra, tag)) => {
                     let idx = JoinIndex::build(&s, &ra);
                     let out = idx.out_schema().clone();
-                    Prep::Dyn(Prepared::JoinIdx(Box::new(p), idx), out)
+                    Prep::Dyn(Prepared::JoinIdx(Box::new(p), idx, tag), out)
                 }
                 (Prep::Dyn(pa, sa), Prep::Dyn(pb, sb)) => {
                     let out = sa.union(&sb);
@@ -428,16 +499,16 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
             }
         }
         Term::Antijoin(a, b) => {
-            match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
-                (Prep::Const(ra), Prep::Const(rb)) => fold(ra.antijoin(&rb)),
+            match (prep(a)?, prep(b)?) {
+                (Prep::Const(ra, _), Prep::Const(rb, _)) => fold(ra.antijoin(&rb)),
                 // Loop-invariant right side: cache its key-set.
-                (Prep::Dyn(pa, sa), Prep::Const(rb)) => {
+                (Prep::Dyn(pa, sa), Prep::Const(rb, _)) => {
                     let idx = KeyIndex::build(&sa, &rb);
                     Prep::Dyn(Prepared::AntijoinIdx(Box::new(pa), idx, sa.clone()), sa)
                 }
-                (Prep::Const(ra), Prep::Dyn(pb, _)) => {
+                (Prep::Const(ra, tag), Prep::Dyn(pb, _)) => {
                     let sa = ra.schema().clone();
-                    let ca = Prepared::Const(R::from_relation(&ra));
+                    let ca = Prepared::Const(R::from_relation(&ra), tag);
                     Prep::Dyn(Prepared::Antijoin(Box::new(ca), Box::new(pb)), sa)
                 }
                 (Prep::Dyn(pa, sa), Prep::Dyn(pb, _)) => {
@@ -445,10 +516,10 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
                 }
             }
         }
-        Term::Union(a, b) => match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
-            (Prep::Const(ra), Prep::Const(rb)) => fold(ra.union(&rb)),
-            (Prep::Const(ra), Prep::Dyn(p, s)) | (Prep::Dyn(p, s), Prep::Const(ra)) => {
-                let ca = Prepared::Const(R::from_relation(&ra));
+        Term::Union(a, b) => match (prep(a)?, prep(b)?) {
+            (Prep::Const(ra, _), Prep::Const(rb, _)) => fold(ra.union(&rb)),
+            (Prep::Const(ra, tag), Prep::Dyn(p, s)) | (Prep::Dyn(p, s), Prep::Const(ra, tag)) => {
+                let ca = Prepared::Const(R::from_relation(&ra), tag);
                 Prep::Dyn(Prepared::Union(Box::new(ca), Box::new(p)), s)
             }
             (Prep::Dyn(pa, sa), Prep::Dyn(pb, _)) => {
@@ -492,7 +563,7 @@ impl<R: LocalRel> Ev<'_, R> {
 fn eval_prepared<'a, R: LocalRel>(p: &'a Prepared<R>, delta: &'a R) -> Result<Ev<'a, R>> {
     Ok(match p {
         Prepared::Delta => Ev::Ref(delta),
-        Prepared::Const(r) => Ev::Ref(r),
+        Prepared::Const(r, _) => Ev::Ref(r),
         Prepared::Filter(ps, t) => Ev::Own(eval_prepared(t, delta)?.get().filter_preds(ps)?),
         Prepared::Rename(a, b, t) => Ev::Own(eval_prepared(t, delta)?.get().rename_col(*a, *b)),
         Prepared::AntiProject(cs, t) => {
@@ -519,7 +590,7 @@ fn eval_prepared<'a, R: LocalRel>(p: &'a Prepared<R>, delta: &'a R) -> Result<Ev
                 Ev::Own(ea.get().union_with(eb.get()))
             }
         }
-        Prepared::JoinIdx(t, idx) => {
+        Prepared::JoinIdx(t, idx, _) => {
             let ev = eval_prepared(t, delta)?;
             let input = ev.get();
             let stats = kernel_stats();
@@ -627,34 +698,11 @@ pub fn local_fixpoint_prepared<R: LocalRel>(
     prepared: &[Prepared<R>],
     budget: &Budget,
 ) -> Result<Relation> {
-    local_fixpoint_prepared_from(seed, prepared, budget, None)
-}
-
-/// Like [`local_fixpoint_prepared`], but optionally starting from resumed
-/// `(acc, delta)` state instead of the seed — the incremental view
-/// maintenance path. The resumed accumulator already contains this
-/// worker's seed share, so the seed is only used when no resume state is
-/// given.
-fn local_fixpoint_prepared_from<R: LocalRel>(
-    seed: &Relation,
-    prepared: &[Prepared<R>],
-    budget: &Budget,
-    initial: Option<(&Relation, &Relation)>,
-) -> Result<Relation> {
     // Iteration-0 state is this worker's share of the accumulator: charge
     // it so a byte budget sees it, not just produced deltas.
-    let (mut acc, mut delta) = match initial {
-        Some((a, d)) => {
-            budget.charge_bytes(rel_bytes((a.len() + d.len()) as u64, a.schema().arity()))?;
-            (R::from_relation(a), R::from_relation(d))
-        }
-        None => {
-            budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
-            let acc = R::from_relation(seed);
-            let delta = acc.clone();
-            (acc, delta)
-        }
-    };
+    budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
+    let mut acc = R::from_relation(seed);
+    let mut delta = acc.clone();
     while !delta.is_empty() {
         budget.check()?;
         match local_superstep(prepared, &acc, &delta, budget)? {
@@ -697,39 +745,66 @@ pub struct LoopCtx<'a> {
 /// [`local_fixpoint_prepared`], plus per-iteration fault injection, panic
 /// capture, local checkpoints every [`LoopCtx::checkpoint_every`]
 /// supersteps, and restore/restart recovery when an iteration fails.
+pub fn local_fixpoint_supervised<R: LocalRel>(
+    seed: &Relation,
+    prepared: &[Prepared<R>],
+    ctx: &LoopCtx<'_>,
+) -> Result<Relation> {
+    let steps = ctx.trace.filter(|t| t.superstep_enabled());
+    if !ctx.fault.is_active() && ctx.checkpoint_every == 0 && steps.is_none() {
+        return local_fixpoint_prepared(seed, prepared, ctx.budget);
+    }
+    ctx.budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
+    let init = || -> (R, R) {
+        let acc = R::from_relation(seed);
+        let delta = acc.clone();
+        (acc, delta)
+    };
+    let (acc, _) = supervise(
+        ctx,
+        seed.len() as u64,
+        init,
+        |(_, delta)| delta.is_empty(),
+        |(acc, delta)| (acc.len() + delta.len()) as u64,
+        |(acc, delta)| {
+            Ok(local_superstep(prepared, acc, delta, ctx.budget)?.map(|(a, d)| {
+                let rows = d.len() as u64;
+                *acc = a;
+                *delta = d;
+                rows
+            }))
+        },
+    )?;
+    Ok(acc.into_relation())
+}
+
+/// The recovery supervisor shared by every worker-local loop, fresh and
+/// resumed: runs `step` on the state from `init` until it reports no
+/// progress (`Ok(None)`) or `done` holds (`size` measures a state for the
+/// restore statistics), injecting the fault plan's
+/// per-iteration faults, checkpointing every [`LoopCtx::checkpoint_every`]
+/// supersteps and, when an iteration fails retryably, restoring the last
+/// checkpoint or restarting from `init` (`restart_rows` is what a restart
+/// recomputes, for the fault statistics).
 ///
 /// Iteration numbers start at 1, so in-loop injection rolls never collide
 /// with the task-level roll (step 0) of the cluster supervisor. Failure
 /// counts per iteration persist across restores, so an afflicted iteration
 /// heals after [`crate::fault::FaultConfig::failures_per_site`] failures
 /// and replays always make progress.
-pub fn local_fixpoint_supervised<R: LocalRel>(
-    seed: &Relation,
-    prepared: &[Prepared<R>],
+pub(crate) fn supervise<S: Clone>(
     ctx: &LoopCtx<'_>,
-    initial: Option<(&Relation, &Relation)>,
-) -> Result<Relation> {
+    restart_rows: u64,
+    init: impl Fn() -> S,
+    done: impl Fn(&S) -> bool,
+    size: impl Fn(&S) -> u64,
+    mut step: impl FnMut(&mut S) -> Result<Option<u64>>,
+) -> Result<S> {
     let steps = ctx.trace.filter(|t| t.superstep_enabled());
-    if !ctx.fault.is_active() && ctx.checkpoint_every == 0 && steps.is_none() {
-        return local_fixpoint_prepared_from(seed, prepared, ctx.budget, initial);
-    }
-    ctx.budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
-    // Resumed loops start from maintained `(acc, delta)` state; a full
-    // restart during recovery must reset to the same pair, not the seed.
-    let init_state = || -> (R, R) {
-        match initial {
-            Some((a, d)) => (R::from_relation(a), R::from_relation(d)),
-            None => {
-                let acc = R::from_relation(seed);
-                let delta = acc.clone();
-                (acc, delta)
-            }
-        }
-    };
-    // One superstep event per iteration per worker. `P_plw` loops never
-    // communicate, so the comm fields stay zero by construction — the
-    // trace-level counterpart of the paper's claim. Kernel counters are
-    // process-wide and racy across workers, so they are left zero here.
+    // One superstep event per iteration per worker. Worker-local loops
+    // never communicate, so the comm fields stay zero by construction —
+    // the trace-level counterpart of the paper's claim. Kernel counters
+    // are process-wide and racy across workers, so they are left zero.
     let record_step = |iteration: u64, delta_rows: u64, t_us: u64, started: &Instant| {
         if let Some(sink) = steps {
             let mut ev = TraceEvent::new(EventKind::Superstep, ctx.fixpoint, PlanKind::Plw);
@@ -741,12 +816,12 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
             sink.record(ev);
         }
     };
-    let (mut acc, mut delta) = init_state();
+    let mut state = init();
     let mut iter: u64 = 0;
-    let mut ckpt: Option<(R, R, u64)> = None;
+    let mut ckpt: Option<(S, u64)> = None;
     let mut restores: u32 = 0;
     let mut fail_counts: HashMap<u64, u32> = HashMap::new();
-    while !delta.is_empty() {
+    while !done(&state) {
         // Fires between supersteps and after every restore, so a cancelled
         // or out-of-budget query stops recovering immediately.
         ctx.budget.check()?;
@@ -757,11 +832,11 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
         }
         let t_us = steps.map_or(0, |s| s.now_us());
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Option<(R, R)>> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Option<u64>> {
             ctx.fault.maybe_panic(ctx.site, ctx.worker, next, attempt);
             ctx.fault.maybe_transient(ctx.site, ctx.worker, next, attempt)?;
             ctx.fault.maybe_memory_pressure(ctx.site, ctx.worker, next, attempt)?;
-            local_superstep(prepared, &acc, &delta, ctx.budget)
+            step(&mut state)
         }))
         .unwrap_or_else(|payload| {
             Err(MuraError::WorkerFailed {
@@ -774,13 +849,11 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
                 record_step(next, 0, t_us, &started);
                 break;
             }
-            Ok(Some((a, d))) => {
-                record_step(next, d.len() as u64, t_us, &started);
-                acc = a;
-                delta = d;
+            Ok(Some(rows)) => {
+                record_step(next, rows, t_us, &started);
                 iter = next;
                 if ctx.checkpoint_every > 0 && iter.is_multiple_of(ctx.checkpoint_every) {
-                    ckpt = Some((acc.clone(), delta.clone(), iter));
+                    ckpt = Some((state.clone(), iter));
                     ctx.fault.record_checkpoint();
                 }
             }
@@ -791,19 +864,18 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
                     return Err(e);
                 }
                 restores += 1;
+                // A failed step may have left `state` half-updated: it is
+                // always replaced wholesale below.
                 let recovery = match &ckpt {
-                    Some((a, d, i)) => {
-                        ctx.fault.record_restore((a.len() + d.len()) as u64, iter - *i);
-                        acc = a.clone();
-                        delta = d.clone();
+                    Some((s, i)) => {
+                        ctx.fault.record_restore(size(s), iter - *i);
+                        state = s.clone();
                         iter = *i;
                         RecoveryKind::Restore
                     }
                     None => {
-                        ctx.fault.record_full_restart(seed.len() as u64);
-                        let (a, d) = init_state();
-                        acc = a;
-                        delta = d;
+                        ctx.fault.record_full_restart(restart_rows);
+                        state = init();
                         iter = 0;
                         RecoveryKind::Restart
                     }
@@ -820,7 +892,7 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
             Err(e) => return Err(e),
         }
     }
-    Ok(acc.into_relation())
+    Ok(state)
 }
 
 /// Compiles a branch the way the pre-optimization kernel did: constants are
@@ -834,7 +906,7 @@ pub fn prepare_reference<R: LocalRel>(term: &Term, x: Sym) -> Result<Prepared<R>
                 "unhoisted variable {v} in local fixpoint branch"
             )))
         }
-        Term::Cst(r) => Prepared::Const(R::from_relation(r)),
+        Term::Cst(r) => Prepared::Const(R::from_relation(r), None),
         Term::Filter(ps, t) => Prepared::Filter(ps.clone(), Box::new(prepare_reference(t, x)?)),
         Term::Rename(a, b, t) => Prepared::Rename(*a, *b, Box::new(prepare_reference(t, x)?)),
         Term::AntiProject(cs, t) => {
@@ -861,7 +933,7 @@ pub fn prepare_reference<R: LocalRel>(term: &Term, x: Sym) -> Result<Prepared<R>
 fn eval_reference<R: LocalRel>(p: &Prepared<R>, delta: &R) -> Result<R> {
     Ok(match p {
         Prepared::Delta => delta.clone(),
-        Prepared::Const(r) => r.clone(),
+        Prepared::Const(r, _) => r.clone(),
         Prepared::Filter(ps, t) => eval_reference(t, delta)?.filter_preds(ps)?,
         Prepared::Rename(a, b, t) => eval_reference(t, delta)?.rename_col(*a, *b),
         Prepared::AntiProject(cs, t) => eval_reference(t, delta)?.antiproject_cols(cs),

@@ -1,56 +1,67 @@
 //! # mura-ivm — incremental view maintenance for recursive μ-RA views
 //!
-//! Turns a cached fixpoint result into a *maintained materialized view*:
-//! given an edge-level delta over the base relations, this crate computes
-//! per-fixpoint **resume state** `(acc, delta)` from which the distributed
-//! drivers (`mura-dist`) continue their ordinary semi-naive loop instead of
-//! recomputing from the seed.
+//! Turns a cached query result into a *maintained materialized view*:
+//! given an edge-level delta over the base relations, this crate plans,
+//! per fixpoint, how the distributed drivers (`mura-dist`) advance their
+//! resident state — the rows leaving the accumulator and the frontier the
+//! semi-naive loop resumes from — and computes the exact change of every
+//! non-recursive term (loop invariants, the query output) from the
+//! changes of its leaves.
 //!
-//! Two maintenance strategies, chosen per fixpoint by the shape of the
-//! batch:
+//! Every rewrite is the classic per-occurrence delta rule, evaluated from
+//! the change outwards (the `delta` module): for each occurrence `k` of a
+//! changed leaf, the term with occurrence `k` replaced by the changed
+//! rows. Every μ-RA operator except antijoin-RHS distributes over union in
+//! each argument, so the union over `k` covers every derivation that uses
+//! a changed row. Under an antijoin's right side a change flips sign; a
+//! non-recursive term there takes the left rows with the changed keys as
+//! candidates and checks them in both worlds. Leaves are base relations and fixpoint totals read
+//! through column indexes ([`IndexStore`]) kept across batches, so the
+//! work is proportional to the change times its fan-out, not to the view.
 //!
-//! * **Insertions** propagate semi-naively. The old total `T = lfp(F)` is
-//!   a sound starting accumulator because `F' (the post-delta operator) is
-//!   monotone in the base relations, so `T ⊆ lfp(F')`. The one-step
-//!   maintenance frontier is computed by the classic per-occurrence delta
-//!   rewrite: for every occurrence `k` of a changed relation in a recursive
-//!   branch, evaluate the branch with occurrence `k` replaced by the
-//!   inserted rows, occurrences before `k` by the old values, occurrences
-//!   after `k` by the new values, and the recursion variable by `T`. The
-//!   union over all `k` covers `F'(T) \ F(T)` because every μ-RA operator
-//!   except antijoin-RHS distributes over union in each argument.
+//! For one fixpoint with old total `T`:
 //!
-//! * **Deletions** use *DRed* (delete-and-rederive, Gupta–Mumick–Subrahmanian):
-//!   over-delete everything derivable from a deleted fact — the same
-//!   per-occurrence rewrite with the deleted rows, iterated through the
-//!   recursive branches against the **old** base values — then keep the
-//!   survivors `S = T \ D` (every survivor has a deletion-free derivation,
-//!   so `S ⊆ lfp(F')`) and rederive with one full step over the **new**
-//!   base values: `frontier = φ'(S) \ S`. Computing the rederivation step
-//!   in full (rather than intersecting with `D`) makes the same path
-//!   correct for mixed insert+delete batches.
+//! * **Deletions** use *DRed* (delete-and-rederive, Gupta–Mumick–
+//!   Subrahmanian). Over-delete `D`: every row of `T` derivable in the old
+//!   world from a deleted row, closed under the recursive branches. The
+//!   survivors `S = T \ D` keep a deletion-free derivation, so
+//!   `S ⊆ lfp(F')`.
+//! * **Rederivation** is restricted to `D`: the frontier is
+//!   `((F'(S) ∩ D) ∪ Δ⁺F(S)) \ S`, where `Δ⁺F(S)` is the insertion
+//!   rewrite over the inserted rows. This equals `F'(S) \ S`: a row the
+//!   old base derives from `S` was already in `T`, so it is in `S` or in
+//!   `D`; every other new row uses an inserted row. `F'(S) ∩ D` is computed
+//!   by pushing `D`'s column values down to the leaves that supply them.
+//! * **Insertions** alone need no `D`: `T ⊆ lfp(F')` by monotonicity and
+//!   the frontier is `Δ⁺F(T) \ T`.
 //!
-//! The resume state is keyed by [`mura_core::term_key`] of each `Fix`
-//! subterm — the same key under which the serving layer captures fixpoint
-//! totals — and handed to `ExecConfig::resume`; the driver folds the
-//! (recomputed) seed in as `acc₀ = acc ∪ seed ∪ delta`,
-//! `delta₀ = delta ∪ (seed \ acc)`.
+//! All branches take part, constant ones included, so the frontier already
+//! carries the seed's change; the driver never re-evaluates the seed.
+//! The driver then resumes its loop from `S ∪ frontier` and reports the
+//! fixpoint's net change, which becomes a changed leaf for the terms above
+//! it (enclosing fixpoints, the output).
+//!
+//! The work stays proportional to the change except where DRed's
+//! over-deletion is large by nature: a deleted edge inside a strongly
+//! connected component over-deletes everything the component reaches, and
+//! rederiving that is as expensive as recomputing it (Backward/Forward-style
+//! rederivation is out of scope).
 //!
 //! Maintenance **falls back to full recomputation** (with a typed reason)
-//! when the rewrite would be unsound or impossible:
-//!
-//! * a changed relation occurs on the right-hand side of an antijoin
-//!   inside a fixpoint's subtree (non-monotone in the change);
-//! * a fixpoint nested inside an affected fixpoint reads a changed
-//!   relation (μ does not distribute over union in its seed, so the
-//!   per-occurrence rewrite under-approximates) — or, for batches with
-//!   deletions, any nested fixpoint at all (the over-deletion must cover
-//!   const branches too);
-//! * no captured total exists for an affected fixpoint (cold cache).
+//! when a changed leaf occurs on the right-hand side of an antijoin inside
+//! a fixpoint (non-monotone in the change), or when no captured total
+//! exists for an affected fixpoint (cold cache).
 
+mod delta;
+mod index;
+
+pub use delta::Leaves;
+pub use index::{IndexStore, LeafKey};
+
+use delta::{Big, Eval, Side, Src, Variant, World};
 use mura_core::analysis::decompose_fixpoint;
-use mura_core::fxhash::{FxHashMap, FxHashSet};
-use mura_core::{eval, term_key, Database, MuraError, Relation, Result, Row, Sym, Term};
+use mura_core::fxhash::FxHashMap;
+use mura_core::{term_key, Database, MuraError, Relation, Result, Row, Schema, Sym, Term};
 
 /// Insertions and deletions against one base relation. Both sides carry
 /// the relation's own schema.
@@ -116,7 +127,7 @@ impl DeltaBatch {
     /// already present, deletes of absent rows, and delete/insert pairs of
     /// the same row. After normalization `insert` holds exactly the rows
     /// that will appear and `delete` exactly the rows that will vanish —
-    /// the precondition of [`plan_maintenance`]. Relations the batch does
+    /// the precondition of [`plan_fix`] and [`term_delta`]. Relations the batch does
     /// not actually change are removed entirely.
     pub fn normalize(&mut self, db: &Database) -> Result<()> {
         let mut dead = Vec::new();
@@ -147,22 +158,17 @@ impl DeltaBatch {
         self.rels.values().map(|d| d.insert.len() + d.delete.len()).sum()
     }
 
-    /// The relations this batch changes.
-    pub fn changed(&self) -> FxHashSet<Sym> {
-        self.rels.iter().filter(|(_, d)| !d.is_empty()).map(|(r, _)| *r).collect()
-    }
-
     /// Applies the (normalized) batch to `db`, returning
-    /// `(inserted, deleted)` row counts. The pre-delta values of the
-    /// changed relations are returned so maintenance can evaluate old-base
-    /// variants; `Relation` is copy-on-write, so keeping them is cheap.
-    pub fn apply(&self, db: &mut Database) -> Result<(u64, u64, FxHashMap<Sym, Relation>)> {
-        let mut old = FxHashMap::default();
+    /// `(inserted, deleted)` row counts. Each changed relation is updated
+    /// in place: its old value is the new one without `insert` and with
+    /// `delete`, so maintenance reads both worlds from the new value.
+    pub fn apply(&self, db: &mut Database) -> Result<(u64, u64)> {
         let (mut ins, mut del) = (0u64, 0u64);
         for (rel, d) in &self.rels {
-            let cur = db.relation(*rel).ok_or(MuraError::UnboundVariable(*rel))?.clone();
-            old.insert(*rel, cur.clone());
-            let mut next = cur;
+            let mut next = db.relation(*rel).ok_or(MuraError::UnboundVariable(*rel))?.clone();
+            // Drop the catalog's handle first so the copy-on-write rows are
+            // not copied just to change a few of them.
+            db.insert_relation_sym(*rel, Relation::new(next.schema().clone()));
             for row in d.delete.iter() {
                 if next.remove(row) {
                     del += 1;
@@ -175,7 +181,7 @@ impl DeltaBatch {
             }
             db.insert_relation_sym(*rel, next);
         }
-        Ok((ins, del, old))
+        Ok((ins, del))
     }
 }
 
@@ -195,9 +201,6 @@ pub enum FallbackReason {
     /// A changed relation occurs under an antijoin right-hand side inside
     /// a fixpoint: the fixpoint is not monotone in the change.
     NonMonotone,
-    /// A nested fixpoint inside an affected fixpoint blocks the
-    /// per-occurrence delta rewrite.
-    NestedFixpoint,
     /// No captured total for an affected fixpoint (nothing to resume from).
     CacheCold,
     /// The estimated maintenance cost exceeds recomputation (decided by
@@ -209,365 +212,214 @@ impl std::fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FallbackReason::NonMonotone => "non-monotone",
-            FallbackReason::NestedFixpoint => "nested-fixpoint",
             FallbackReason::CacheCold => "cache-cold",
             FallbackReason::Cost => "cost",
         })
     }
 }
 
-/// Resume state for one fixpoint: the starting accumulator and frontier of
-/// the continued semi-naive loop (`mura-dist` folds the recomputed seed in
-/// itself).
+/// How one fixpoint's resident state advances by a batch.
 #[derive(Debug, Clone)]
-pub struct ResumePair {
-    /// Starting accumulator — a subset of the new least fixpoint.
-    pub acc: Relation,
-    /// Starting frontier — the one-step derivations the delta introduced.
-    pub delta: Relation,
+pub struct FixMaintenance {
+    /// Rows leaving the accumulator before the loop resumes (DRed's
+    /// over-deletion `D`; empty for insert-only batches).
+    pub removed: Relation,
+    /// Rows the resumed loop starts from (none of them in `T \ removed`).
+    pub frontier: Relation,
+    /// Rows the rewrites produced (the planning work).
+    pub touched: u64,
 }
 
-/// A maintainable plan: resume state per `Fix` subterm plus cost signals.
-#[derive(Debug, Clone, Default)]
-pub struct Maintenance {
-    /// Per-fixpoint resume state, keyed by [`term_key`] of the `Fix`
-    /// subterm (the key `ExecConfig::resume` expects).
-    pub resume: FxHashMap<u64, ResumePair>,
-    /// Total frontier rows across all fixpoints — the size of the work the
-    /// resumed loops start from (cost signal for the caller).
-    pub frontier_rows: u64,
-    /// Rows over-deleted by DRed across all fixpoints (these were removed
-    /// from accumulators and must be rederived if still implied).
-    pub overdeleted_rows: u64,
-}
-
-/// The outcome of planning maintenance for one cached query.
+/// The exact change of a non-recursive term.
 #[derive(Debug, Clone)]
-pub enum IvmOutcome {
-    /// The plan reads none of the changed relations: the cached result is
-    /// exact at the new version as-is.
-    Unaffected,
-    /// Resume state per fixpoint; re-execute the plan with it to obtain
-    /// the maintained result (and fresh totals).
-    Maintain(Maintenance),
-    /// Maintenance would be unsound or impossible: recompute.
-    Fallback(FallbackReason),
+pub struct TermDelta {
+    /// Rows the term gained.
+    pub plus: Relation,
+    /// Rows the term lost.
+    pub minus: Relation,
+    /// Rows the rewrites produced (the work).
+    pub touched: u64,
 }
 
-/// Plans incremental maintenance of `plan` under a normalized `batch`.
-///
-/// * `new_db` — the database **after** the batch was applied;
-/// * `old_rels` — pre-delta values of the changed relations (from
-///   [`DeltaBatch::apply`]);
-/// * `totals` — previously captured fixpoint totals by [`term_key`]
-///   (`ExecStats::fix_totals` of the run that produced the cached result).
-///
-/// The batch must be normalized ([`DeltaBatch::normalize`]): `insert`
-/// disjoint from the old value, `delete` a subset of it.
-pub fn plan_maintenance(
-    plan: &Term,
-    new_db: &Database,
-    old_rels: &FxHashMap<Sym, Relation>,
-    batch: &DeltaBatch,
-    totals: &FxHashMap<u64, Relation>,
-) -> Result<IvmOutcome> {
-    let changed = batch.changed();
-    if changed.is_empty() || !plan.free_vars().iter().any(|v| changed.contains(v)) {
-        return Ok(IvmOutcome::Unaffected);
-    }
-    let mut m = Maintenance::default();
-    match visit(plan, new_db, old_rels, batch, &changed, totals, &mut m)? {
-        Some(reason) => Ok(IvmOutcome::Fallback(reason)),
-        None => Ok(IvmOutcome::Maintain(m)),
-    }
+/// True when `t` reads a changed leaf of `leaves` (fixpoints registered as
+/// leaves count as one leaf each).
+pub fn reads_change(t: &Term, leaves: &Leaves) -> bool {
+    leaves.changed_occurrences(t, None) > 0
 }
 
-/// Walks the plan, planning every `Fix` subterm (outer and nested — nested
-/// fixpoints evaluated while the driver recomputes an outer seed benefit
-/// from resume state too). Returns a fallback reason as soon as any
-/// affected fixpoint cannot be maintained.
-fn visit(
-    t: &Term,
-    new_db: &Database,
-    old_rels: &FxHashMap<Sym, Relation>,
-    batch: &DeltaBatch,
-    changed: &FxHashSet<Sym>,
-    totals: &FxHashMap<u64, Relation>,
-    m: &mut Maintenance,
-) -> Result<Option<FallbackReason>> {
-    if let Term::Fix(x, body) = t {
-        if let Some(reason) = plan_fix(t, *x, body, new_db, old_rels, batch, changed, totals, m)? {
-            return Ok(Some(reason));
-        }
-    }
-    for c in t.children() {
-        if let Some(reason) = visit(c, new_db, old_rels, batch, changed, totals, m)? {
-            return Ok(Some(reason));
-        }
-    }
-    Ok(None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn plan_fix(
-    fix_term: &Term,
-    x: Sym,
-    body: &Term,
-    new_db: &Database,
-    old_rels: &FxHashMap<Sym, Relation>,
-    batch: &DeltaBatch,
-    changed: &FxHashSet<Sym>,
-    totals: &FxHashMap<u64, Relation>,
-    m: &mut Maintenance,
-) -> Result<Option<FallbackReason>> {
-    let key = term_key(fix_term);
-    let affected = fix_term.free_vars().iter().any(|v| changed.contains(v));
-    let Some(total) = totals.get(&key) else {
-        // An unaffected fixpoint without a captured total simply gets no
-        // resume entry (the driver recomputes it); an affected one cannot
-        // be maintained at all.
-        return Ok(if affected { Some(FallbackReason::CacheCold) } else { None });
+/// Plans the maintenance of the fixpoint `fix` whose old total is the
+/// union of `total` (indexed in `store` under [`LeafKey::Fix`] of its
+/// [`term_key`]): over-deletion, survivors and the restricted
+/// rederivation frontier described in the crate docs. Nested fixpoints
+/// must be registered in `leaves` with their new values and changes.
+pub fn plan_fix(
+    fix: &Term,
+    leaves: &Leaves,
+    total: &[Relation],
+    store: &mut IndexStore,
+) -> Result<std::result::Result<FixMaintenance, FallbackReason>> {
+    let Term::Fix(x, body) = fix else {
+        return Err(MuraError::Other("plan_fix needs a fixpoint term".into()));
     };
-    if !affected {
-        // Exact as-is: empty frontier, so the resumed loop terminates
-        // immediately with the old total.
-        m.resume.insert(
-            key,
-            ResumePair { acc: total.clone(), delta: Relation::new(total.schema().clone()) },
-        );
-        return Ok(None);
+    let x = *x;
+    if leaves.changed_under_antijoin_rhs(body, Some(x)) {
+        return Ok(Err(FallbackReason::NonMonotone));
     }
-    if changed_under_antijoin_rhs(fix_term, changed) {
-        return Ok(Some(FallbackReason::NonMonotone));
-    }
-    let reads: Vec<Sym> =
-        fix_term.free_vars().iter().copied().filter(|v| changed.contains(v)).collect();
-    let has_deletes = reads.iter().any(|r| batch.rels.get(r).is_some_and(|d| !d.delete.is_empty()));
+    let schema: Schema = match total.first() {
+        Some(p) => p.schema().clone(),
+        None => return Err(MuraError::Other("a fixpoint total needs partitions".into())),
+    };
+    let t = Big::new(LeafKey::Fix(term_key(fix)), &schema, total);
     let (consts, recs) = decompose_fixpoint(x, body)?;
-    if has_deletes {
-        // DRed needs sound over-deletion through every branch, const
-        // branches included; a nested fixpoint anywhere under this one
-        // breaks the per-occurrence rewrite.
-        if body.fixpoint_count() > 0 {
-            return Ok(Some(FallbackReason::NestedFixpoint));
-        }
-        let (acc, delta, overdeleted) =
-            dred(&consts, &recs, x, total, changed, batch, old_rels, new_db)?;
-        m.frontier_rows += delta.len() as u64;
-        m.overdeleted_rows += overdeleted;
-        m.resume.insert(key, ResumePair { acc, delta });
-    } else {
-        let delta = insert_frontier(&recs, x, total, changed, batch, old_rels, new_db)?;
-        let Some(delta) = delta else {
-            return Ok(Some(FallbackReason::NestedFixpoint));
-        };
-        m.frontier_rows += delta.len() as u64;
-        m.resume.insert(key, ResumePair { acc: total.clone(), delta });
-    }
-    Ok(None)
-}
+    let branches: Vec<&Term> = consts.iter().chain(recs.iter()).copied().collect();
+    let mut ev = Eval { store, touched: 0 };
+    let occurrences: Vec<usize> =
+        branches.iter().map(|b| leaves.changed_occurrences(b, Some(x))).collect();
 
-/// One-step insertion frontier: the per-occurrence delta rewrite over the
-/// recursive branches with the recursion variable pinned at the old total.
-/// Returns `None` when a nested fixpoint inside a branch reads a changed
-/// relation (the rewrite would under-approximate).
-fn insert_frontier(
-    recs: &[&Term],
-    x: Sym,
-    total: &Relation,
-    changed: &FxHashSet<Sym>,
-    batch: &DeltaBatch,
-    old_rels: &FxHashMap<Sym, Relation>,
-    new_db: &Database,
-) -> Result<Option<Relation>> {
-    let x_total = Term::cst(total.clone());
-    let mut frontier = Relation::new(total.schema().clone());
-    for branch in recs {
-        if nested_fix_reads(branch, changed) {
-            return Ok(None);
-        }
-        let b = branch.substitute(x, &x_total);
-        let occs = count_changed_occs(&b, changed);
-        for k in 0..occs {
-            let variant = subst_occs(&b, changed, &mut 0, &mut |rel, i| {
-                use std::cmp::Ordering::*;
-                match i.cmp(&k) {
-                    // Telescoping: old values before the delta position,
-                    // the inserted rows at it, new values (the plain `Var`,
-                    // resolved from `new_db`) after it.
-                    Less => Some(Term::cst(old_value(rel, old_rels, new_db))),
-                    Equal => Some(Term::cst(batch.rels[&rel].insert.clone())),
-                    Greater => None,
-                }
-            });
-            frontier.absorb(eval(&variant, new_db)?);
+    // DRed over-deletion: D₀ from every branch with one occurrence at its
+    // deleted rows and everything else at old values, then closed under
+    // the recursive branches in the old world. (A variant whose driver is
+    // empty costs nothing, so batches without deletes skip all of it.)
+    let mut d = Relation::new(schema.clone());
+    for (b, &n) in branches.iter().zip(&occurrences) {
+        for k in 0..n {
+            let v = Variant {
+                world: World::Old,
+                pick: Some((k, Side::Minus)),
+                x: Some((x, Src::Big(t))),
+            };
+            let got = ev.driven(&leaves.build(b, &v)?)?;
+            d.absorb(got.filter(|row| t.contains(row)));
         }
     }
-    Ok(Some(frontier.minus(total)))
-}
-
-/// Delete-and-rederive. Returns `(survivors, frontier, overdeleted)`:
-/// the accumulator `S = T \ D`, the full-step rederivation frontier
-/// `φ'(S) \ S` over the new base values, and `|D|`.
-#[allow(clippy::too_many_arguments)]
-fn dred(
-    consts: &[&Term],
-    recs: &[&Term],
-    x: Sym,
-    total: &Relation,
-    changed: &FxHashSet<Sym>,
-    batch: &DeltaBatch,
-    old_rels: &FxHashMap<Sym, Relation>,
-    new_db: &Database,
-) -> Result<(Relation, Relation, u64)> {
-    let x_total = Term::cst(total.clone());
-    // Over-deletion seed D₀: every branch (const and recursive), every
-    // occurrence of a changed relation replaced by its deleted rows, all
-    // other changed occurrences and the recursion variable at their OLD
-    // values — everything derivable in the old world from a deleted fact.
-    let mut d = Relation::new(total.schema().clone());
-    for branch in consts.iter().chain(recs.iter()) {
-        let b = branch.substitute(x, &x_total);
-        let occs = count_changed_occs(&b, changed);
-        for k in 0..occs {
-            let variant = subst_occs(&b, changed, &mut 0, &mut |rel, i| {
-                if i == k {
-                    Some(Term::cst(batch.rels[&rel].delete.clone()))
-                } else {
-                    Some(Term::cst(old_value(rel, old_rels, new_db)))
-                }
-            });
-            d.absorb(intersect(&eval(&variant, new_db)?, total));
-        }
-    }
-    // Propagate: anything derivable (in the old world) from an
-    // over-deleted tuple is over-deleted too.
     let mut dk = d.clone();
     while !dk.is_empty() {
-        let x_dk = Term::cst(dk.clone());
-        let mut next = Relation::new(total.schema().clone());
-        for branch in recs {
-            let variant = subst_occs(branch, changed, &mut 0, &mut |rel, _| {
-                Some(Term::cst(old_value(rel, old_rels, new_db)))
-            })
-            .substitute(x, &x_dk);
-            next.absorb(eval(&variant, new_db)?);
+        let mut next = Relation::new(schema.clone());
+        for b in &recs {
+            let v =
+                Variant { world: World::Old, pick: None, x: Some((x, Src::Driver(dk.clone()))) };
+            next.absorb(ev.driven(&leaves.build(b, &v)?)?);
         }
-        dk = intersect(&next, total).minus(&d);
-        d.absorb(dk.clone());
-    }
-    let overdeleted = d.len() as u64;
-    let survivors = total.minus(&d);
-    // Rederive with one FULL step over the new base values. Deliberately
-    // not intersected with D: with mixed batches the step also produces
-    // insertion-driven derivations that never were in the old total.
-    let x_s = Term::cst(survivors.clone());
-    let mut frontier = Relation::new(total.schema().clone());
-    for branch in recs {
-        frontier.absorb(eval(&branch.substitute(x, &x_s), new_db)?);
-    }
-    let frontier = frontier.minus(&survivors);
-    Ok((survivors, frontier, overdeleted))
-}
-
-fn old_value(rel: Sym, old_rels: &FxHashMap<Sym, Relation>, new_db: &Database) -> Relation {
-    // Changed relations come from the pre-delta snapshot; anything else is
-    // identical in both worlds.
-    old_rels
-        .get(&rel)
-        .or_else(|| new_db.relation(rel))
-        .cloned()
-        .unwrap_or_else(|| panic!("relation {rel} disappeared during maintenance"))
-}
-
-fn intersect(a: &Relation, b: &Relation) -> Relation {
-    let mut out = Relation::new(a.schema().clone());
-    for row in a.iter() {
-        if b.contains(row) {
-            out.insert(row.clone());
+        dk = next.filter(|row| t.contains(row) && !d.contains(row));
+        for row in dk.iter() {
+            d.insert(row.clone());
         }
     }
-    out
-}
 
-/// True when a changed relation occurs anywhere under the right-hand side
-/// of an antijoin within `t`.
-fn changed_under_antijoin_rhs(t: &Term, changed: &FxHashSet<Sym>) -> bool {
-    match t {
-        Term::Antijoin(a, b) => {
-            b.free_vars().iter().any(|v| changed.contains(v))
-                || changed_under_antijoin_rhs(a, changed)
-                || changed_under_antijoin_rhs(b, changed)
+    // Rederivation restricted to D, plus the insertion rewrite, both over
+    // the survivors S = T \ D in the new world.
+    let s = Big { hide: Some(&d), ..t };
+    let mut frontier = Relation::new(schema.clone());
+    if !d.is_empty() {
+        for b in &branches {
+            let v = Variant { world: World::New, pick: None, x: Some((x, Src::Big(s))) };
+            frontier.absorb(ev.bound(&leaves.build(b, &v)?, Some(&d))?);
         }
-        _ => t.children().iter().any(|c| changed_under_antijoin_rhs(c, changed)),
     }
-}
-
-/// True when a `Fix` subterm strictly inside `t` reads a changed relation.
-fn nested_fix_reads(t: &Term, changed: &FxHashSet<Sym>) -> bool {
-    t.children().iter().any(|c| match c {
-        Term::Fix(_, _) => c.free_vars().iter().any(|v| changed.contains(v)),
-        _ => nested_fix_reads(c, changed),
-    })
-}
-
-/// Number of occurrences of changed relations in `t`, in the same
-/// depth-first order [`subst_occs`] uses.
-fn count_changed_occs(t: &Term, changed: &FxHashSet<Sym>) -> usize {
-    match t {
-        Term::Var(v) => usize::from(changed.contains(v)),
-        Term::Cst(_) => 0,
-        _ => t.children().iter().map(|c| count_changed_occs(c, changed)).sum(),
+    for (b, &n) in branches.iter().zip(&occurrences) {
+        for k in 0..n {
+            let v = Variant {
+                world: World::New,
+                pick: Some((k, Side::Plus)),
+                x: Some((x, Src::Big(s))),
+            };
+            frontier.absorb(ev.driven(&leaves.build(b, &v)?)?);
+        }
     }
+    let frontier = frontier.filter(|row| !s.contains(row));
+    Ok(Ok(FixMaintenance { removed: d, frontier, touched: ev.touched }))
 }
 
-/// Rebuilds `t` with every depth-first occurrence `i` of a changed
-/// relation passed through `f(rel, i)`; `None` keeps the occurrence as-is
-/// (its value then comes from whatever database the variant is evaluated
-/// against). Fixpoint binders cannot shadow relation names (`F_cond`
-/// rejects shadowing), so recursing under `Fix` is safe.
-fn subst_occs(
+/// The exact change of the non-recursive term `t` (fixpoint subterms must
+/// be registered in `leaves`). `old`, when given, is `t`'s old value; it
+/// saves looking the candidate rows up in the old world.
+pub fn term_delta(
     t: &Term,
-    changed: &FxHashSet<Sym>,
-    next: &mut usize,
-    f: &mut dyn FnMut(Sym, usize) -> Option<Term>,
-) -> Term {
-    match t {
-        Term::Var(v) if changed.contains(v) => {
-            let i = *next;
-            *next += 1;
-            f(*v, i).unwrap_or_else(|| t.clone())
+    leaves: &Leaves,
+    store: &mut IndexStore,
+    old: Option<&Relation>,
+) -> Result<TermDelta> {
+    let mut ev = Eval { store, touched: 0 };
+    let n = leaves.changed_occurrences(t, None);
+    let mut plus = None::<Relation>;
+    let mut minus = None::<Relation>;
+    for k in 0..n {
+        for (side, world, acc) in
+            [(Side::Plus, World::New, &mut plus), (Side::Minus, World::Old, &mut minus)]
+        {
+            let v = Variant { world, pick: Some((k, side)), x: None };
+            let got = ev.driven(&leaves.build(t, &v)?)?;
+            match acc {
+                Some(a) => a.absorb(got),
+                None => *acc = Some(got),
+            }
         }
-        Term::Var(_) | Term::Cst(_) => t.clone(),
-        Term::Filter(ps, inner) => {
-            Term::Filter(ps.clone(), Box::new(subst_occs(inner, changed, next, f)))
-        }
-        Term::Rename(a, b, inner) => {
-            Term::Rename(*a, *b, Box::new(subst_occs(inner, changed, next, f)))
-        }
-        Term::AntiProject(cs, inner) => {
-            Term::AntiProject(cs.clone(), Box::new(subst_occs(inner, changed, next, f)))
-        }
-        Term::Join(a, b) => Term::Join(
-            Box::new(subst_occs(a, changed, next, f)),
-            Box::new(subst_occs(b, changed, next, f)),
-        ),
-        Term::Antijoin(a, b) => Term::Antijoin(
-            Box::new(subst_occs(a, changed, next, f)),
-            Box::new(subst_occs(b, changed, next, f)),
-        ),
-        Term::Union(a, b) => Term::Union(
-            Box::new(subst_occs(a, changed, next, f)),
-            Box::new(subst_occs(b, changed, next, f)),
-        ),
-        Term::Fix(v, body) => Term::Fix(*v, Box::new(subst_occs(body, changed, next, f))),
     }
+    let schema = || -> Result<Schema> {
+        Ok(leaves.build(t, &Variant { world: World::New, pick: None, x: None })?.schema().clone())
+    };
+    let plus = match plus {
+        Some(p) => p,
+        None => {
+            let s = schema()?;
+            return Ok(TermDelta {
+                plus: Relation::new(s.clone()),
+                minus: Relation::new(s),
+                touched: 0,
+            });
+        }
+    };
+    let minus = minus.expect("filled with plus");
+    if leaves.changed_under_antijoin_rhs(t, None) {
+        // A change under an antijoin's right side flips sign (see
+        // `Eval::driven`), so every candidate is checked in both worlds.
+        let mut cand = plus;
+        cand.absorb(minus);
+        let after = leaves.build(t, &Variant { world: World::New, pick: None, x: None })?;
+        let now = ev.bound(&after, Some(&cand))?;
+        let before = match old {
+            Some(old) => cand.filter(|row| old.contains(row)),
+            None => {
+                let before =
+                    leaves.build(t, &Variant { world: World::Old, pick: None, x: None })?;
+                ev.bound(&before, Some(&cand))?
+            }
+        };
+        return Ok(TermDelta {
+            plus: now.minus(&before),
+            minus: before.minus(&now),
+            touched: ev.touched,
+        });
+    }
+    // Keep the candidates that really changed: new ones absent before,
+    // lost ones absent now.
+    let plus = match old {
+        Some(old) => plus.filter(|row| !old.contains(row)),
+        None if plus.is_empty() => plus,
+        None => {
+            let before = leaves.build(t, &Variant { world: World::Old, pick: None, x: None })?;
+            let present = ev.bound(&before, Some(&plus))?;
+            plus.minus(&present)
+        }
+    };
+    let minus = if minus.is_empty() {
+        minus
+    } else {
+        let after = leaves.build(t, &Variant { world: World::New, pick: None, x: None })?;
+        let present = ev.bound(&after, Some(&minus))?;
+        let minus = minus.minus(&present);
+        match old {
+            Some(old) => minus.filter(|row| old.contains(row)),
+            None => minus,
+        }
+    };
+    Ok(TermDelta { plus, minus, touched: ev.touched })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mura_core::Value;
+    use mura_core::{eval, Value};
 
     /// Transitive-closure database and plan: `μ(X = E ∪ π̃(ρ(X) ⋈ ρ(E)))`.
     fn tc_setup(edges: &[(u64, u64)]) -> (Database, Term, Sym) {
@@ -587,26 +439,14 @@ mod tests {
         vec![Value::node(a), Value::node(b)].into_boxed_slice()
     }
 
-    /// Simulates the driver's resume protocol centrally: fold the seed in,
-    /// then run plain semi-naive from the resumed state.
-    fn resumed_lfp(plan: &Term, resume: &ResumePair, db: &Database) -> Relation {
+    /// Simulates the driver's resumed loop centrally: start from
+    /// `(T \ removed) ∪ frontier` and run plain semi-naive.
+    fn resumed_lfp(plan: &Term, total: &Relation, m: &FixMaintenance, db: &Database) -> Relation {
         let Term::Fix(x, body) = plan else { panic!("expected fixpoint plan") };
-        let (consts, recs) = decompose_fixpoint(*x, body).unwrap();
-        let mut seed = Relation::new(resume.acc.schema().clone());
-        for c in &consts {
-            seed.absorb(eval(c, db).unwrap());
-        }
-        let mut delta = resume.delta.clone();
-        for row in seed.iter() {
-            if !resume.acc.contains(row) {
-                delta.insert(row.clone());
-            }
-        }
-        let mut acc = resume.acc.clone();
-        acc.absorb(seed);
-        for row in delta.iter() {
-            acc.insert(row.clone());
-        }
+        let (_, recs) = decompose_fixpoint(*x, body).unwrap();
+        let mut acc = total.minus(&m.removed);
+        let mut delta = m.frontier.clone();
+        acc.absorb(delta.clone());
         while !delta.is_empty() {
             let x_d = Term::cst(delta.clone());
             let mut new = Relation::new(acc.schema().clone());
@@ -620,37 +460,35 @@ mod tests {
         acc
     }
 
+    fn batch_of(db: &Database, e: Sym, ins: &[(u64, u64)], del: &[(u64, u64)]) -> DeltaBatch {
+        let mut batch = DeltaBatch::new();
+        for &(a, b) in ins {
+            batch.push_insert(db, e, pair_row(a, b)).unwrap();
+        }
+        for &(a, b) in del {
+            batch.push_delete(db, e, pair_row(a, b)).unwrap();
+        }
+        batch.normalize(db).unwrap();
+        batch
+    }
+
     fn maintain_and_check(edges: &[(u64, u64)], ins: &[(u64, u64)], del: &[(u64, u64)]) {
         let (mut db, plan, e) = tc_setup(edges);
         let total = eval(&plan, &db).unwrap();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), total);
-        let mut batch = DeltaBatch::new();
-        for &(a, b) in ins {
-            batch.push_insert(&db, e, pair_row(a, b)).unwrap();
-        }
-        for &(a, b) in del {
-            batch.push_delete(&db, e, pair_row(a, b)).unwrap();
-        }
-        batch.normalize(&db).unwrap();
-        let (_, _, old) = batch.apply(&mut db).unwrap();
-        let outcome = plan_maintenance(&plan, &db, &old, &batch, &totals).unwrap();
+        let batch = batch_of(&db, e, ins, del);
+        batch.apply(&mut db).unwrap();
         let expected = eval(&plan, &db).unwrap();
-        match outcome {
-            IvmOutcome::Unaffected => {
-                assert!(batch.is_empty(), "a non-empty E batch must affect the plan");
-            }
-            IvmOutcome::Maintain(m) => {
-                let pair = &m.resume[&term_key(&plan)];
-                let got = resumed_lfp(&plan, pair, &db);
-                assert_eq!(
-                    got.sorted_rows(),
-                    expected.sorted_rows(),
-                    "maintained view diverged for ins={ins:?} del={del:?}"
-                );
-            }
-            IvmOutcome::Fallback(r) => panic!("unexpected fallback: {r}"),
-        }
+        let mut store = IndexStore::new();
+        let leaves = Leaves::new(&db, &batch);
+        let parts = [total.clone()];
+        let m = plan_fix(&plan, &leaves, &parts, &mut store).unwrap().expect("maintainable");
+        assert!(m.removed.iter().all(|r| total.contains(r)), "D ⊆ T");
+        let got = resumed_lfp(&plan, &total, &m, &db);
+        assert_eq!(
+            got.sorted_rows(),
+            expected.sorted_rows(),
+            "maintained view diverged for ins={ins:?} del={del:?}"
+        );
     }
 
     #[test]
@@ -687,46 +525,244 @@ mod tests {
     }
 
     #[test]
+    fn mixed_batch_reaches_insert_only_through_survivors() {
+        // The inserted 9→10 hangs off 4, reachable from 1 only through
+        // surviving rows: the restricted rederivation must still find
+        // (1,10) via the insertion rewrite over S.
+        maintain_and_check(&[(1, 2), (2, 4), (1, 3), (3, 4), (4, 9)], &[(9, 10)], &[(2, 4)]);
+    }
+
+    #[test]
     fn delete_everything() {
         maintain_and_check(&[(1, 2), (2, 3)], &[], &[(1, 2), (2, 3)]);
     }
 
     #[test]
-    fn noop_batch_is_unaffected() {
-        let (mut db, plan, e) = tc_setup(&[(1, 2), (2, 3)]);
-        let totals = FxHashMap::default();
-        let mut batch = DeltaBatch::new();
-        batch.push_insert(&db, e, pair_row(1, 2)).unwrap(); // already present
-        batch.normalize(&db).unwrap();
-        assert!(batch.is_empty());
-        let (_, _, old) = batch.apply(&mut db).unwrap();
-        let outcome = plan_maintenance(&plan, &db, &old, &batch, &totals).unwrap();
-        assert!(matches!(outcome, IvmOutcome::Unaffected));
+    fn random_batches_match_recompute() {
+        // Small dense graphs with cycles: every shape of over-deletion.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..60 {
+            let edges: Vec<(u64, u64)> = (0..14).map(|_| (next(9), next(9))).collect();
+            let ins: Vec<(u64, u64)> = (0..next(3)).map(|_| (next(9), next(9))).collect();
+            let del: Vec<(u64, u64)> = (0..next(4)).map(|_| edges[next(14) as usize]).collect();
+            maintain_and_check(&edges, &ins, &del);
+        }
     }
 
-    #[test]
-    fn unrelated_relation_is_unaffected() {
-        let (mut db, plan, _) = tc_setup(&[(1, 2)]);
+    /// A small xorshift stream for the randomized tests.
+    fn stream(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        }
+    }
+
+    /// Two labelled edge relations `E`, `F` over six nodes, plus a unary
+    /// `G` for antijoins.
+    fn two_label_db(next: &mut impl FnMut(u64) -> u64) -> (Database, Sym, Sym, Sym) {
+        let mut db = Database::new();
         let src = db.intern("src");
         let dst = db.intern("dst");
-        let other = db.insert_relation("Other", Relation::from_pairs(src, dst, [(9, 9)]));
+        let mut pairs = |n| (0..n).map(|_| (next(6), next(6))).collect::<Vec<_>>();
+        let e = db.insert_relation("E", Relation::from_pairs(src, dst, pairs(9)));
+        let f = db.insert_relation("F", Relation::from_pairs(src, dst, pairs(7)));
+        let g_rows =
+            [vec![Value::node(1)].into_boxed_slice(), vec![Value::node(4)].into_boxed_slice()];
+        db.insert_relation("G", Relation::from_rows(Schema::new(vec![src]), g_rows));
+        (db, e, f, dst)
+    }
+
+    fn random_two_label_batch(
+        db: &Database,
+        e: Sym,
+        f: Sym,
+        next: &mut impl FnMut(u64) -> u64,
+    ) -> DeltaBatch {
         let mut batch = DeltaBatch::new();
-        batch.push_insert(&db, other, pair_row(7, 7)).unwrap();
-        batch.normalize(&db).unwrap();
-        let (_, _, old) = batch.apply(&mut db).unwrap();
-        let outcome = plan_maintenance(&plan, &db, &old, &batch, &FxHashMap::default()).unwrap();
-        assert!(matches!(outcome, IvmOutcome::Unaffected));
+        for rel in [e, f] {
+            let rows: Vec<Row> = db.relation(rel).unwrap().sorted_rows();
+            for _ in 0..next(3) {
+                batch.push_insert(db, rel, pair_row(next(6), next(6))).unwrap();
+            }
+            for _ in 0..next(3) {
+                if !rows.is_empty() {
+                    batch
+                        .push_delete(db, rel, rows[next(rows.len() as u64) as usize].clone())
+                        .unwrap();
+                }
+            }
+        }
+        batch.normalize(db).unwrap();
+        batch
     }
 
     #[test]
-    fn cold_cache_falls_back() {
-        let (mut db, plan, e) = tc_setup(&[(1, 2), (2, 3)]);
-        let mut batch = DeltaBatch::new();
-        batch.push_insert(&db, e, pair_row(3, 4)).unwrap();
-        batch.normalize(&db).unwrap();
-        let (_, _, old) = batch.apply(&mut db).unwrap();
-        let outcome = plan_maintenance(&plan, &db, &old, &batch, &FxHashMap::default()).unwrap();
-        assert!(matches!(outcome, IvmOutcome::Fallback(FallbackReason::CacheCold)));
+    fn term_delta_matches_recompute_on_many_shapes() {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15);
+        for round in 0..40 {
+            let (mut db, e, f, dst) = two_label_db(&mut next);
+            let src = db.dict().lookup("src").unwrap();
+            let g = db.dict().lookup("G").unwrap();
+            let m = db.intern("m");
+            let y = db.intern("y");
+            let (ve, vf) = (Term::var(e), Term::var(f));
+            let shapes = [
+                // Two hops over different labels.
+                ve.clone().rename(dst, m).join(vf.clone().rename(src, m)).antiproject(m),
+                // An anchored filter beside a union.
+                ve.clone().filter_eq(src, 1i64).union(vf.clone()),
+                // An antijoin against a changed unary relation.
+                ve.clone().antijoin(Term::var(g)),
+                // An antijoin against a changed binary relation's sources.
+                ve.clone().antijoin(vf.clone().antiproject(dst)),
+                // Two antijoins nested on the right: the sign flips twice.
+                ve.clone().antijoin(vf.clone().antiproject(dst).antijoin(Term::var(g))),
+                // A join over an antijoin whose right side changes.
+                ve.clone()
+                    .rename(dst, m)
+                    .join(vf.clone().rename(src, m).antijoin(Term::var(g).rename(src, m)))
+                    .antiproject(m),
+                // A whole-row antijoin of two changed relations.
+                ve.clone().antijoin(vf.clone()),
+                // A cartesian product of two projections.
+                ve.clone().antiproject(dst).join(vf.clone().antiproject(src).rename(dst, y)),
+                // A union feeding a join whose other side is anchored.
+                ve.clone()
+                    .union(vf.clone())
+                    .rename(dst, m)
+                    .join(ve.clone().filter_eq(dst, 2i64).rename(src, m).rename(dst, y))
+                    .antiproject(m),
+            ];
+            let olds: Vec<Relation> = shapes.iter().map(|t| eval(t, &db).unwrap()).collect();
+            let mut batch = random_two_label_batch(&db, e, f, &mut next);
+            // G changes too, so the antijoin shapes see right-side changes.
+            for _ in 0..next(2) {
+                let row = vec![Value::node(next(6))].into_boxed_slice();
+                batch.push_insert(&db, g, row).unwrap();
+            }
+            for _ in 0..next(2) {
+                let row = vec![Value::node([1, 4][next(2) as usize])].into_boxed_slice();
+                batch.push_delete(&db, g, row).unwrap();
+            }
+            batch.normalize(&db).unwrap();
+            batch.apply(&mut db).unwrap();
+            let mut store = IndexStore::new();
+            let leaves = Leaves::new(&db, &batch);
+            for (i, (t, old)) in shapes.iter().zip(&olds).enumerate() {
+                let new = eval(t, &db).unwrap();
+                for given in [None, Some(old)] {
+                    let got = term_delta(t, &leaves, &mut store, given).unwrap();
+                    let ctx = format!("round {round}, shape {i}, old given {}", given.is_some());
+                    assert_eq!(got.plus.sorted_rows(), new.minus(old).sorted_rows(), "{ctx}");
+                    assert_eq!(got.minus.sorted_rows(), old.minus(&new).sorted_rows(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_union_closure_matches_recompute() {
+        // μ(X = π̃src σ[src=0](E ∪ F) ∪ π̃m(ρ(X) ⋈ ρ(E ∪ F))): the
+        // single-column anchored view over a label union.
+        let mut next = stream(0x2545_f491_4f6c_dd1d);
+        for _ in 0..60 {
+            let (mut db, e, f, dst) = two_label_db(&mut next);
+            let src = db.dict().lookup("src").unwrap();
+            let m = db.intern("m");
+            let x = db.intern("X");
+            let both = Term::var(e).union(Term::var(f));
+            let seed = both.clone().filter_eq(src, 0i64).antiproject(src);
+            let step = Term::var(x).rename(dst, m).join(both.rename(src, m)).antiproject(m);
+            let plan = seed.union(step).fix(x);
+            let total = eval(&plan, &db).unwrap();
+            if total.is_empty() {
+                continue;
+            }
+            let batch = random_two_label_batch(&db, e, f, &mut next);
+            batch.apply(&mut db).unwrap();
+            let leaves = Leaves::new(&db, &batch);
+            let parts = [total.clone()];
+            let m = plan_fix(&plan, &leaves, &parts, &mut IndexStore::new()).unwrap().unwrap();
+            let got = resumed_lfp(&plan, &total, &m, &db);
+            assert_eq!(got.sorted_rows(), eval(&plan, &db).unwrap().sorted_rows());
+        }
+    }
+
+    #[test]
+    fn term_delta_follows_a_union_invariant() {
+        // I = ρ(E ∪ F): deleting a row of E that F still holds changes
+        // nothing; deleting one only E held removes it.
+        let (mut db, _, e) = tc_setup(&[(1, 2), (2, 3)]);
+        let src = db.intern("src");
+        let dst = db.intern("dst");
+        let m = db.intern("m");
+        let f = db.insert_relation("F", Relation::from_pairs(src, dst, [(1, 2)]));
+        let inv = Term::var(e).union(Term::var(f)).rename(src, m);
+        let old = eval(&inv, &db).unwrap();
+        let batch = batch_of(&db, e, &[(7, 8)], &[(1, 2), (2, 3)]);
+        batch.apply(&mut db).unwrap();
+        let mut store = IndexStore::new();
+        let leaves = Leaves::new(&db, &batch);
+        let got = term_delta(&inv, &leaves, &mut store, None).unwrap();
+        let new = eval(&inv, &db).unwrap();
+        assert_eq!(got.plus.sorted_rows(), new.minus(&old).sorted_rows());
+        assert_eq!(got.minus.sorted_rows(), old.minus(&new).sorted_rows());
+    }
+
+    #[test]
+    fn output_delta_through_a_fixpoint_leaf() {
+        // The output ρ(μ(...)) changes exactly by the fixpoint's change.
+        let (mut db, plan, e) = tc_setup(&[(1, 2), (2, 3), (3, 4)]);
+        let y = db.intern("y");
+        let dst = db.intern("dst");
+        let out_term = plan.clone().rename(dst, y);
+        let total = eval(&plan, &db).unwrap();
+        let old_out = eval(&out_term, &db).unwrap();
+        let batch = batch_of(&db, e, &[(4, 5)], &[(2, 3)]);
+        batch.apply(&mut db).unwrap();
+        let new_total = eval(&plan, &db).unwrap();
+        let (plus, minus) = (new_total.minus(&total), total.minus(&new_total));
+        let parts = [new_total.clone()];
+        let mut leaves = Leaves::new(&db, &batch);
+        leaves.fix(term_key(&plan), new_total.schema(), &parts);
+        leaves.fix_change(term_key(&plan), &plus, &minus);
+        let mut store = IndexStore::new();
+        let got = term_delta(&out_term, &leaves, &mut store, Some(&old_out)).unwrap();
+        let new_out = eval(&out_term, &db).unwrap();
+        assert_eq!(got.plus.sorted_rows(), new_out.minus(&old_out).sorted_rows());
+        assert_eq!(got.minus.sorted_rows(), old_out.minus(&new_out).sorted_rows());
+    }
+
+    #[test]
+    fn indexes_follow_applied_changes() {
+        // An index built in one batch and kept current with `apply` serves
+        // the next batch exactly like a fresh one.
+        let (mut db, plan, e) = tc_setup(&[(1, 2), (2, 3), (3, 1), (3, 4)]);
+        let mut store = IndexStore::new();
+        let mut total = eval(&plan, &db).unwrap();
+        for (ins, del) in [(vec![(4, 5)], vec![(3, 1)]), (vec![(5, 1)], vec![(1, 2)])] {
+            let batch = batch_of(&db, e, &ins, &del);
+            batch.apply(&mut db).unwrap();
+            store.apply(LeafKey::Rel(e), &batch.rels[&e].insert, &batch.rels[&e].delete);
+            let parts = [total.clone()];
+            let m = {
+                let leaves = Leaves::new(&db, &batch);
+                plan_fix(&plan, &leaves, &parts, &mut store).unwrap().unwrap()
+            };
+            let next = resumed_lfp(&plan, &total, &m, &db);
+            assert_eq!(next.sorted_rows(), eval(&plan, &db).unwrap().sorted_rows());
+            let key = LeafKey::Fix(term_key(&plan));
+            store.apply(key, &next.minus(&total), &total.minus(&next));
+            total = next;
+        }
     }
 
     #[test]
@@ -736,14 +772,48 @@ mod tests {
         // μ(X = E ∪ (X ▷ E)): E on an antijoin RHS inside the body.
         let plan = Term::var(e).union(Term::var(x).antijoin(Term::var(e))).fix(x);
         let total = eval(&plan, &db).unwrap();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), total);
-        let mut batch = DeltaBatch::new();
-        batch.push_insert(&db, e, pair_row(3, 4)).unwrap();
-        batch.normalize(&db).unwrap();
-        let (_, _, old) = batch.apply(&mut db).unwrap();
-        let outcome = plan_maintenance(&plan, &db, &old, &batch, &totals).unwrap();
-        assert!(matches!(outcome, IvmOutcome::Fallback(FallbackReason::NonMonotone)));
+        let batch = batch_of(&db, e, &[(3, 4)], &[]);
+        batch.apply(&mut db).unwrap();
+        let leaves = Leaves::new(&db, &batch);
+        let outcome = plan_fix(&plan, &leaves, &[total], &mut IndexStore::new()).unwrap();
+        assert!(matches!(outcome, Err(FallbackReason::NonMonotone)));
+    }
+
+    #[test]
+    fn vanished_relation_is_a_typed_error() {
+        // A plan reading a relation the database no longer has fails with
+        // a typed error (the serving layer counts it as a fallback).
+        let (mut db, plan, e) = tc_setup(&[(1, 2), (2, 3)]);
+        let total = eval(&plan, &db).unwrap();
+        // A delete: rederivation reads every branch, the ghost's included.
+        let batch = batch_of(&db, e, &[], &[(2, 3)]);
+        batch.apply(&mut db).unwrap();
+        let ghost = db.intern("Ghost");
+        let x = db.dict().lookup("X").unwrap();
+        let Term::Fix(_, body) = &plan else { unreachable!() };
+        // μ(X = Ghost ∪ body): the fixpoint also reads an unknown relation.
+        let plan = Term::var(ghost).union((**body).clone()).fix(x);
+        let leaves = Leaves::new(&db, &batch);
+        let err = plan_fix(&plan, &leaves, &[total], &mut IndexStore::new()).unwrap_err();
+        assert!(matches!(err, MuraError::UnboundVariable(s) if s == ghost), "{err:?}");
+    }
+
+    #[test]
+    fn unrelated_relation_is_not_read() {
+        let (mut db, plan, _) = tc_setup(&[(1, 2)]);
+        let src = db.intern("src");
+        let dst = db.intern("dst");
+        let other = db.insert_relation("Other", Relation::from_pairs(src, dst, [(9, 9)]));
+        let batch = batch_of(&db, other, &[(7, 7)], &[]);
+        batch.apply(&mut db).unwrap();
+        assert!(!reads_change(&plan, &Leaves::new(&db, &batch)));
+    }
+
+    #[test]
+    fn noop_batch_normalizes_away() {
+        let (db, _, e) = tc_setup(&[(1, 2), (2, 3)]);
+        let batch = batch_of(&db, e, &[(1, 2)], &[]); // already present
+        assert!(batch.is_empty());
     }
 
     #[test]

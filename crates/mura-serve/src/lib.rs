@@ -27,9 +27,10 @@
 //!   while current.
 //! * **Incremental view maintenance** — [`Server::apply_delta`] (the
 //!   `.insert`/`.delete` verbs) applies an edge-level [`DeltaBatch`]
-//!   without a reload and brings cached fixpoint answers forward in
-//!   place: insertions resume the drivers' semi-naive delta loop from the
-//!   captured totals, deletions run DRed (over-delete, rederive). Views
+//!   without a reload and brings cached answers forward in place: each
+//!   maintained view keeps its fixpoint state resident, insertions resume
+//!   the drivers' semi-naive loops from their frontier, deletions run DRed
+//!   (over-delete, rederive restricted to the over-deletion). Views
 //!   the maintenance planner cannot or should not maintain fall back to
 //!   recompute-on-next-use — see [`mura_ivm`] and [`DeltaSummary`].
 //! * **Cancellation & deadlines** — every query carries a
@@ -68,6 +69,7 @@
 pub mod cache;
 pub mod error;
 pub mod protocol;
+mod resident;
 pub mod server;
 
 pub use cache::{plan_key, LruCache};

@@ -23,12 +23,14 @@
 //!   version is current.
 //! * **Incremental view maintenance**: [`Server::apply_delta`] applies an
 //!   edge-level [`DeltaBatch`] without a reload. Cached fixpoint answers
-//!   are *maintained* instead of discarded: insertions seed the drivers'
-//!   semi-naive delta loop from the old total, deletions run DRed
-//!   (over-delete, rederive) — see `mura_ivm`. Views the maintenance
-//!   planner cannot or should not maintain (non-monotone change, nested
-//!   fixpoints, cold totals, or frontier larger than a recompute under
-//!   the `rel_bytes` cost model) are dropped and recomputed on next use.
+//!   are *maintained* instead of discarded: the server keeps each
+//!   maintained view's fixpoint state resident across versions and
+//!   resumes its semi-naive loops from the change — insertions from their
+//!   frontier, deletions through DRed (over-delete, rederive) — see
+//!   the `resident` module and `mura_ivm`. Views the maintenance planner
+//!   cannot or should not maintain (a non-monotone change inside a
+//!   fixpoint, cold totals, or a fixpoint whose churn outnumbers its rows)
+//!   are dropped and recomputed on next use.
 //! * **Cancellation & deadlines**: every admitted query carries a
 //!   [`CancellationToken`]; deadlines start at submission, so time spent
 //!   queued counts against the budget. The evaluator checks the token at
@@ -36,19 +38,20 @@
 
 use crate::cache::{plan_key, LruCache};
 use crate::error::{OverloadReason, ServeError, ServeResult};
+use crate::resident::{maintain, ResidentView};
 use mura_core::fxhash::{FxHashMap, FxHasher};
 use mura_core::{mem_gauge, rel_bytes, CancellationToken, Database, Term};
 use mura_dist::exec::ResourceLimits;
 use mura_dist::explain_plan;
 use mura_dist::{
-    ClusterHealth, CommBackend, CommSnapshot, ExecStats, FixResume, PlannedQuery, ProcCluster,
+    ClusterHealth, CommBackend, CommSnapshot, ExecStats, PlannedQuery, ProcCluster,
     ProcClusterConfig, QueryEngine, QueryOutput, TraceLevel,
 };
 use mura_durable::{
     crash_point, load_newest_snapshot, prune_older_snapshots, write_snapshot, SnapshotState,
     SyncPolicy, ViewSnapshot, Wal, WalRecord,
 };
-use mura_ivm::{plan_maintenance, DeltaBatch, FallbackReason, IvmOutcome};
+use mura_ivm::{reads_change, DeltaBatch, FallbackReason, Leaves};
 use mura_obs::histogram::fmt_us;
 use mura_obs::{Histogram, PromText};
 use mura_rewrite::cost::{CostModel, Stats};
@@ -481,7 +484,6 @@ struct Counters {
     /// Fallback-to-recompute decisions, per [`FallbackReason`] plus the
     /// planner/executor-error and stale-entry buckets.
     ivm_fallback_non_monotone: AtomicU64,
-    ivm_fallback_nested_fixpoint: AtomicU64,
     ivm_fallback_cache_cold: AtomicU64,
     ivm_fallback_cost: AtomicU64,
     ivm_fallback_other: AtomicU64,
@@ -497,7 +499,6 @@ impl Counters {
     fn fallback_counter(&self, reason: Option<FallbackReason>) -> &AtomicU64 {
         match reason {
             Some(FallbackReason::NonMonotone) => &self.ivm_fallback_non_monotone,
-            Some(FallbackReason::NestedFixpoint) => &self.ivm_fallback_nested_fixpoint,
             Some(FallbackReason::CacheCold) => &self.ivm_fallback_cache_cold,
             Some(FallbackReason::Cost) => &self.ivm_fallback_cost,
             None => &self.ivm_fallback_other,
@@ -506,7 +507,6 @@ impl Counters {
 
     fn ivm_fallbacks(&self) -> u64 {
         self.ivm_fallback_non_monotone.load(Ordering::Relaxed)
-            + self.ivm_fallback_nested_fixpoint.load(Ordering::Relaxed)
             + self.ivm_fallback_cache_cold.load(Ordering::Relaxed)
             + self.ivm_fallback_cost.load(Ordering::Relaxed)
             + self.ivm_fallback_other.load(Ordering::Relaxed)
@@ -640,8 +640,14 @@ pub struct DeltaSummary {
     pub unaffected: u64,
     /// Cached views dropped; the next query recomputes them.
     pub recomputed: u64,
-    /// Rows DRed over-deleted and rederived across maintained views.
+    /// Rows DRed over-deleted that reappeared in the maintained views.
     pub rederived: u64,
+    /// Rows the maintenance of this batch touched across views: rows the
+    /// delta rewrites produced plus rows the resumed loops and output
+    /// changes moved. A work count, proportional to the change rather
+    /// than to the views (building a view's resident state after a restart
+    /// is not counted).
+    pub touched: u64,
 }
 
 /// One plan-cache entry: the optimized plan plus the feedback-store
@@ -711,6 +717,10 @@ struct ServerInner {
     /// Durable storage (WAL + snapshots) when [`ServeConfig::data_dir`]
     /// is set; `None` serves purely in memory.
     durable: Option<Mutex<DurableState>>,
+    /// Resident state of maintained views, keyed like `results` (see
+    /// [`crate::resident`]). Only the mutation path (under `mutation`)
+    /// and snapshots touch it; queries never do.
+    residents: Mutex<FxHashMap<(u64, u64), ResidentView>>,
     config: ServeConfig,
 }
 
@@ -1083,7 +1093,7 @@ impl ServerInner {
         }
 
         let mut summary = DeltaSummary::default();
-        let (old_rels, version, epoch, snapshot) = {
+        let (version, epoch, snapshot) = {
             let mut engine = self.write_engine();
             batch.normalize(engine.db())?;
             if batch.is_empty() {
@@ -1111,7 +1121,7 @@ impl ServerInner {
                     wal_mark = Some(mark);
                 }
             }
-            let (inserted, deleted, old_rels) = match batch.apply(engine.db_mut()) {
+            let (inserted, deleted) = match batch.apply(engine.db_mut()) {
                 Ok(applied) => applied,
                 Err(e) => {
                     // Apply failed after the batch was logged: truncate the
@@ -1150,13 +1160,14 @@ impl ServerInner {
             // Snapshot the cache while still holding the write lock: result
             // inserts happen under the engine *read* lock, so nothing can
             // slip in between the version bump and this snapshot.
-            (old_rels, version, epoch, lock(&self.results).entries())
+            (version, epoch, lock(&self.results).entries())
         };
 
         // Maintain under the *read* lock: queries keep flowing — they
         // simply miss (stale version) until their view is brought forward.
         let engine = self.read_engine();
-        let empty = FxHashMap::default();
+        // Resident state lives only as long as its cached view.
+        lock(&self.residents).retain(|k, _| snapshot.iter().any(|(key, _)| key == k));
         for (key, cached) in snapshot {
             // Chaos hook: a crash here leaves the batch durably logged and
             // applied but the view maintenance half-done. Recovery replays
@@ -1166,6 +1177,7 @@ impl ServerInner {
             if key.1 != epoch || cached.version >= version {
                 continue; // other-epoch leftovers / already-current entries
             }
+            let resident = lock(&self.residents).remove(&key);
             if cached.version + 1 != version {
                 // More than one version behind: this batch's pre-state is
                 // not the entry's post-state, so the bridge is gone.
@@ -1182,75 +1194,47 @@ impl ServerInner {
                 continue;
             }
             let start = Instant::now();
-            let totals = cached.output.stats.fix_totals.as_ref().unwrap_or(&empty);
-            match plan_maintenance(&cached.output.plan, engine.db(), &old_rels, &batch, totals) {
-                Ok(IvmOutcome::Unaffected) => {
+            if !reads_change(&cached.output.plan, &Leaves::new(engine.db(), &batch)) {
+                lock(&self.results).insert(key, CachedResult { version, output: cached.output });
+                if let Some(mut r) = resident {
+                    r.skip(&batch, version);
+                    lock(&self.residents).insert(key, r);
+                }
+                self.counters.ivm_unaffected.fetch_add(1, Ordering::Relaxed);
+                summary.unaffected += 1;
+                self.telemetry.maintenance.record(start.elapsed());
+                continue;
+            }
+            let mut config = engine.config().clone();
+            config.limits = self.config.limits;
+            self.plug_backend(&mut config);
+            match maintain(&cached.output, resident, engine.db(), &batch, config, version) {
+                Ok(Ok(m)) => {
+                    // The maintained totals are fresh observations: fold
+                    // them back into the planner so an observation dropped
+                    // for churn above is immediately replaced instead of
+                    // waiting for a cold execution.
+                    lock(&self.feedback).record_plan(
+                        &m.output.plan,
+                        &m.view.cardinalities(),
+                        engine.db().dict(),
+                    );
                     lock(&self.results)
-                        .insert(key, CachedResult { version, output: cached.output.clone() });
-                    self.counters.ivm_unaffected.fetch_add(1, Ordering::Relaxed);
-                    summary.unaffected += 1;
+                        .insert(key, CachedResult { version, output: Arc::new(m.output) });
+                    lock(&self.residents).insert(key, m.view);
+                    self.counters.ivm_maintained.fetch_add(1, Ordering::Relaxed);
+                    self.counters.ivm_rederived_rows.fetch_add(m.rederived, Ordering::Relaxed);
+                    summary.maintained += 1;
+                    summary.rederived += m.rederived;
+                    summary.touched += m.touched;
                     self.telemetry.maintenance.record(start.elapsed());
                 }
-                Ok(IvmOutcome::Maintain(m)) => {
-                    // Cost gate: maintenance wins when the churn it must
-                    // push through the loop is smaller than the state a
-                    // recompute would rebuild, byte-priced at equal arity.
-                    let total_rows: u64 = totals.values().map(|r| r.len() as u64).sum();
-                    let churn = m.frontier_rows + m.overdeleted_rows;
-                    if rel_bytes(churn, 2) > rel_bytes(total_rows.max(1), 2) {
-                        lock(&self.results).remove(&key);
-                        self.record_fallback(Some(FallbackReason::Cost), &mut summary);
-                        continue;
-                    }
-                    let resume: FxHashMap<u64, FixResume> = m
-                        .resume
-                        .into_iter()
-                        .map(|(k, p)| (k, FixResume { acc: p.acc, delta: p.delta }))
-                        .collect();
-                    let mut config = engine.config().clone();
-                    config.limits = self.config.limits;
-                    config.capture_fixpoints = true;
-                    config.resume = Some(Arc::new(resume));
-                    self.plug_backend(&mut config);
-                    let planned =
-                        PlannedQuery { plan: cached.output.plan.clone(), planning: Duration::ZERO };
-                    match engine.execute_plan_with(&planned, config) {
-                        Ok(out) => {
-                            // The resumed run measured the post-delta
-                            // fixpoint totals — fold them back into the
-                            // planner so an observation dropped for churn
-                            // above is immediately replaced by the fresh
-                            // one instead of waiting for a cold execution.
-                            if let Some(t) = out.stats.fix_totals.as_ref().filter(|t| !t.is_empty())
-                            {
-                                let observed: FxHashMap<u64, f64> =
-                                    t.iter().map(|(k, r)| (*k, r.len() as f64)).collect();
-                                lock(&self.feedback).record_plan(
-                                    &planned.plan,
-                                    &observed,
-                                    engine.db().dict(),
-                                );
-                            }
-                            lock(&self.results)
-                                .insert(key, CachedResult { version, output: Arc::new(out) });
-                            self.counters.ivm_maintained.fetch_add(1, Ordering::Relaxed);
-                            self.counters
-                                .ivm_rederived_rows
-                                .fetch_add(m.overdeleted_rows, Ordering::Relaxed);
-                            summary.maintained += 1;
-                            summary.rederived += m.overdeleted_rows;
-                            self.telemetry.maintenance.record(start.elapsed());
-                        }
-                        Err(_) => {
-                            lock(&self.results).remove(&key);
-                            self.record_fallback(None, &mut summary);
-                        }
-                    }
-                }
-                Ok(IvmOutcome::Fallback(reason)) => {
+                Ok(Err(reason)) => {
                     lock(&self.results).remove(&key);
                     self.record_fallback(Some(reason), &mut summary);
                 }
+                // Maintenance failed (faults past recovery, budget): the
+                // resident state is gone with the view; recompute.
                 Err(_) => {
                     lock(&self.results).remove(&key);
                     self.record_fallback(None, &mut summary);
@@ -1291,22 +1275,34 @@ impl ServerInner {
         // Persist only views that are exactly current: stale entries would
         // be dropped by maintenance anyway, and other-epoch leftovers are
         // unreachable after a load.
+        // A maintained view's totals live in its resident state; a fresh
+        // one's were captured with its output.
+        let residents = lock(&self.residents);
         let mut views: Vec<ViewSnapshot> = lock(&self.results)
             .entries()
             .into_iter()
             .filter(|(key, cached)| key.1 == epoch && cached.version == version)
-            .map(|(_, cached)| ViewSnapshot {
-                plan: cached.output.plan.clone(),
-                relation: cached.output.relation.clone(),
-                fix_totals: cached
-                    .output
-                    .stats
-                    .fix_totals
-                    .as_ref()
-                    .map(|m| m.iter().map(|(k, r)| (*k, r.clone())).collect())
-                    .unwrap_or_default(),
+            .map(|(key, cached)| {
+                let mut fix_totals: Vec<(u64, mura_core::Relation)> =
+                    match residents.get(&key).filter(|r| r.version == version) {
+                        Some(r) => r.totals(),
+                        None => cached
+                            .output
+                            .stats
+                            .fix_totals
+                            .as_ref()
+                            .map(|m| m.iter().map(|(k, r)| (*k, r.clone())).collect())
+                            .unwrap_or_default(),
+                    };
+                fix_totals.sort_by_key(|(k, _)| *k);
+                ViewSnapshot {
+                    plan: cached.output.plan.clone(),
+                    relation: cached.output.relation.clone(),
+                    fix_totals,
+                }
             })
             .collect();
+        drop(residents);
         // Stable bytes: equal server states must snapshot identically.
         views.sort_by_key(|v| plan_key(&v.plan));
         // Plans ride along rather than being re-derived at recovery: the
@@ -1419,6 +1415,7 @@ impl ServerInner {
                     }
                     self.rebuild_cost_stats(epoch, engine.db());
                     lock(&self.feedback).clear();
+                    lock(&self.residents).clear();
                 }
             }
             replayed += 1;
@@ -1539,6 +1536,7 @@ impl Server {
             cost_stats: Mutex::new(None),
             feedback: Mutex::new(FeedbackStore::new()),
             durable,
+            residents: Mutex::new(FxHashMap::default()),
             proc,
             config,
         });
@@ -1678,6 +1676,7 @@ impl Server {
         // same-shape refreshes keep their cached plans until fresh
         // observations arrive and bump it.
         lock(&self.inner.feedback).clear();
+        lock(&self.inner.residents).clear();
         // Durability: a load's mutator is an opaque closure, so the WAL
         // records its *outcome* — the complete post-load database — rather
         // than the operation. Logged before this call returns, so a caller
@@ -2117,7 +2116,6 @@ fn metrics_of(inner: &ServerInner) -> String {
     let c = &inner.counters;
     for (reason, v) in [
         ("non-monotone", c.ivm_fallback_non_monotone.load(Ordering::Relaxed)),
-        ("nested-fixpoint", c.ivm_fallback_nested_fixpoint.load(Ordering::Relaxed)),
         ("cache-cold", c.ivm_fallback_cache_cold.load(Ordering::Relaxed)),
         ("cost", c.ivm_fallback_cost.load(Ordering::Relaxed)),
         ("other", c.ivm_fallback_other.load(Ordering::Relaxed)),

@@ -356,7 +356,7 @@ impl Shell {
                 if local.is_empty() {
                     println!("no-op (the database already looks like that)");
                 } else {
-                    let (ins, del, _) = local.apply(&mut self.db)?;
+                    let (ins, del) = local.apply(&mut self.db)?;
                     println!("applied: +{ins} -{del} rows");
                     if self.graph.take().is_some() {
                         println!("(the loaded graph snapshot is now stale; .save disabled)");
